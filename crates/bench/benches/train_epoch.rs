@@ -1,7 +1,8 @@
 //! REINFORCE train-epoch throughput at 1 vs N rollout workers, plus the
-//! blocked matmul kernel rate. Besides the usual stdout report, writes
-//! `BENCH_train.json` at the workspace root with ns/epoch per worker
-//! count and the matmul GFLOP/s, so perf can be tracked across PRs.
+//! blocked matmul kernel rate and the forward's tanh. Besides the usual
+//! stdout report, writes `BENCH_train.json` at the workspace root with
+//! ns/epoch per worker count, the matmul GFLOP/s and tanh ns/element, so
+//! perf can be tracked across PRs.
 //!
 //! The worker counts share one RNG scheme (seed-per-sample), so every
 //! row of this bench computes bitwise-identical training trajectories —
@@ -20,6 +21,10 @@ use spg_nn::{MatmulMode, Matrix};
 use std::path::Path;
 
 const MATMUL_DIM: usize = 128;
+/// Elements one scaled-large forward runs through tanh: the input
+/// projection, msg and update of both views in both hops, the edge
+/// projection and the merge hidden layer.
+const TANH_ELEMENTS: usize = 119_202;
 
 fn make_trainer(num_workers: usize) -> ReinforceTrainer<MetisCoarsePlacer> {
     make_trainer_with_sink(num_workers, TelemetrySink::disabled())
@@ -132,6 +137,26 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_activation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("activation");
+    group.sample_size(10);
+    // The f32 forward's exact tanh over one scaled-large forward's worth
+    // of elements, in [-2.93, 2.93]. Each iteration refills the input
+    // (a 466 KiB copy) so every sample sees the same values.
+    let input: Vec<f32> = (0..TANH_ELEMENTS)
+        .map(|i| ((i % 977) as f32 - 488.0) * 0.006)
+        .collect();
+    let mut m = Matrix::from_vec(1, TANH_ELEMENTS, input.clone());
+    group.bench_function(BenchmarkId::new("tanh", "f32"), |bch| {
+        bch.iter(|| {
+            m.data.copy_from_slice(&input);
+            m.tanh_assign();
+            black_box(&m);
+        })
+    });
+    group.finish();
+}
+
 /// `NxK` (square-output `NxKxN` shorthand for the legacy `128x128` id) or
 /// `NxKxM` dims from a `matmul/<kind>/<shape>` bench id.
 fn matmul_flops(id: &str) -> Option<f64> {
@@ -156,6 +181,10 @@ fn emit_json(c: &Criterion, path: &Path) {
                 fields.push_str(&format!(", \"gflops\": {:.3}", flops / r.ns_per_iter));
             }
         }
+        if r.id.starts_with("activation/") {
+            let per = r.ns_per_iter / TANH_ELEMENTS as f64;
+            fields.push_str(&format!(", \"ns_per_element\": {per:.3}"));
+        }
         lines.push(format!("  \"{}\": {{ {} }}", r.id, fields));
     }
     let json = format!("{{\n{}\n}}\n", lines.join(",\n"));
@@ -178,6 +207,7 @@ fn main() {
     let mut c = Criterion::default();
     bench_train_epoch(&mut c, &worker_counts);
     bench_matmul(&mut c);
+    bench_activation(&mut c);
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     emit_json(&c, &root.join("BENCH_train.json"));

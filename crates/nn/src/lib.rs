@@ -11,6 +11,7 @@
 //! * [`Tape`] — a gradient tape: forward ops append nodes, `backward`
 //!   walks them in reverse. Graph-structured ops (row gather, segment
 //!   mean) make GNN message passing differentiable.
+//! * [`tanh`] — the one f32 tanh (fdlibm port + AVX2 kernel, bit-identical).
 //! * [`Param`] / [`Adam`] — trainable parameters with Adam state.
 //! * [`layers`] — `Linear`, `Mlp`, `LstmCell` built on the tape.
 //!
@@ -23,6 +24,7 @@ pub mod optim;
 pub mod param;
 pub mod quant;
 pub mod scratch;
+pub mod tanh;
 pub mod tape;
 
 pub use layers::{Linear, LstmCell, Mlp};

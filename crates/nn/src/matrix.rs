@@ -225,11 +225,10 @@ impl Matrix {
         }
     }
 
-    /// In-place elementwise tanh (same scalar op as `Tape::tanh`).
+    /// In-place elementwise tanh ([`crate::tanh::tanh_in_place`], which
+    /// `Tape::tanh` also runs).
     pub fn tanh_assign(&mut self) {
-        for x in &mut self.data {
-            *x = x.tanh();
-        }
+        crate::tanh::tanh_in_place(&mut self.data);
     }
 
     /// In-place elementwise ReLU (same `max(0.0)` as `Tape::relu`).
@@ -956,7 +955,7 @@ mod tests {
         assert_eq!(r.data, vec![1.0, 0.0, 0.0, 0.25, 1.0, 0.0]);
         let mut t = m.clone();
         t.tanh_assign();
-        assert_eq!(t.data[0].to_bits(), 1.0f32.tanh().to_bits());
+        assert_eq!(t.data[0].to_bits(), crate::tanh::tanhf(1.0).to_bits());
         let mut s = m.clone();
         s.sigmoid_assign();
         assert_eq!(s.data[0].to_bits(), stable_sigmoid(1.0).to_bits());

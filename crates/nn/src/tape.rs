@@ -165,11 +165,10 @@ impl Tape {
         self.push(v, Op::Scale(a.0, s))
     }
 
-    /// Elementwise tanh.
+    /// Elementwise tanh (the same kernel as `Matrix::tanh_assign`).
     pub fn tanh(&mut self, a: Var) -> Var {
-        let m = &self.nodes[a.0].value;
-        let data = m.data.iter().map(|&x| x.tanh()).collect();
-        let v = Matrix::from_vec(m.rows, m.cols, data);
+        let mut v = self.nodes[a.0].value.clone();
+        v.tanh_assign();
         self.push(v, Op::Tanh(a.0))
     }
 

@@ -8,6 +8,9 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+# spg-nn's own tests: the kernels' unit tests (matmul, quantized, tanh)
+# and crates/nn/tests/*, which the root-package run above does not reach.
+cargo test -q -p spg-nn
 
 # End-to-end smoke: generate -> train (with telemetry) -> report on a tiny
 # dataset, exercising the CLI surface and the JSONL metrics pipeline.
