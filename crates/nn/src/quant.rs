@@ -891,6 +891,19 @@ mod tests {
             "repeat quantized forward changed bits"
         );
         scratch.put(b);
+
+        // The Tanh hidden layer takes the fast tanh, not the exact one:
+        // layer → tanh_assign_fast → layer, bit for bit.
+        let mut hidden = Matrix::zeros(3, 12);
+        qmlp.layers[0].forward_infer(&x, &mut qs, &mut hidden);
+        tanh_assign_fast(&mut hidden);
+        let mut by_hand = Matrix::zeros(3, 4);
+        qmlp.layers[1].forward_infer(&hidden, &mut qs, &mut by_hand);
+        assert_eq!(
+            first.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            by_hand.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "quantized Tanh hidden layer must apply tanh_fast"
+        );
     }
 
     #[test]

@@ -203,6 +203,63 @@ fn quantized_placements_agree_with_f32_within_pinned_bounds() {
     );
 }
 
+/// Fold every probability's `to_bits()` into an FNV-1a-64 hash, byte by
+/// byte in little-endian order, continuing from `h`.
+fn fnv1a_bits(mut h: u64, probs: &[f32]) -> u64 {
+    for p in probs {
+        for byte in p.to_bits().to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn probability_bits_of_both_precisions_are_pinned() {
+    // Golden digests of every collapse probability over the corpus, in
+    // corpus order: any change to either precision's forward — a
+    // kernel, an activation, an accumulation order — moves one of them.
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    let model = model();
+    let qmodel = model.quantize();
+    let corpus = corpus();
+    let feats: Vec<GraphFeatures> = corpus
+        .iter()
+        .map(|(g, c, r)| GraphFeatures::extract(g, c, *r))
+        .collect();
+    let mut scratch = InferenceScratch::new();
+    let mut qscratch = QuantScratch::new();
+    let (mut f32_digest, mut int8_digest) = (FNV_OFFSET, FNV_OFFSET);
+    for ((graph, _, _), f) in corpus.iter().zip(&feats) {
+        f32_digest = fnv1a_bits(f32_digest, &model.infer_probs(graph, f, &mut scratch));
+        int8_digest = fnv1a_bits(
+            int8_digest,
+            &qmodel.infer_probs(graph, f, &mut scratch, &mut qscratch),
+        );
+    }
+    assert_eq!(
+        int8_digest, 0x5eb9e096bd756907,
+        "int8 probability bits moved"
+    );
+    assert_eq!(f32_digest, 0xf41ba963eb60e3e7, "f32 probability bits moved");
+
+    let items: Vec<(&StreamGraph, &GraphFeatures)> =
+        corpus.iter().map(|(g, _, _)| g).zip(&feats).collect();
+    let batched = qmodel.predict_probs_batch_with(
+        &mut spg::model::BatchUnion::new(),
+        &mut scratch,
+        &mut qscratch,
+        None,
+        &items,
+    );
+    let batched_digest = batched.iter().fold(FNV_OFFSET, |h, p| fnv1a_bits(h, p));
+    assert_eq!(
+        batched_digest, int8_digest,
+        "batched int8 bits differ from solo"
+    );
+}
+
 #[test]
 fn quantized_batch_matches_solo_quantized_inference() {
     let model = model();
