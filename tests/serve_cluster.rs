@@ -310,8 +310,8 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
         .collect();
     // Pin an injected stall on the first backlog request so its replica
     // is parked while the post-shutdown probes land — the drain window
-    // is deterministically open, instead of hoping 16 release-mode
-    // inferences outlast a 5 ms sleep (a real race on fast machines).
+    // is deterministically open, instead of hoping 16 inferences
+    // outlast the probes (a real race on fast machines).
     // The stalled request still completes, so the drain guarantee below
     // is unchanged. Fingerprints use the server's defaults (the Small
     // spec from spawn_server), not the graphs' generating spec.
@@ -335,9 +335,37 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
     client.send_line(shutdown_line());
     client.send_line(&alloc_request("after-shutdown", &graphs[0]).to_line());
 
+    // Every in-flight request completes, plus exactly one refusal for
+    // the post-shutdown request. The refusal is queued inline by the
+    // router while the backlog is still computing, so it may arrive
+    // ahead of the Ok responses — match by id, not by order.
+    let mut seen = std::collections::HashMap::new();
+    let mut refusals = Vec::new();
+    // Records one response; true when it is the post-shutdown refusal.
+    let mut record = |resp: WireResponse| match resp {
+        WireResponse::Ok(a) => {
+            seen.insert(a.id.clone(), a.placement.len());
+            false
+        }
+        WireResponse::Err(e) => {
+            let after_shutdown = e.id.as_deref() == Some("after-shutdown");
+            refusals.push(e);
+            after_shutdown
+        }
+    };
+    // The router refuses `after-shutdown` only after it has handled the
+    // shutdown line, so once that refusal is back the drain has begun —
+    // no sleep racing the router's parse of the pipelined backlog.
+    let mut read = 0;
+    while read < graphs.len() + 1 {
+        read += 1;
+        if record(client.read_response()) {
+            break;
+        }
+    }
+
     // While replicas chew through the backlog: the pre-opened
     // connection and a brand-new connect both get refused by name.
-    std::thread::sleep(std::time::Duration::from_millis(5));
     late.send_line(&alloc_request("late-conn", &graphs[1]).to_line());
     let WireResponse::Err(e) = late.read_response() else {
         panic!("pre-opened late request must be refused")
@@ -350,19 +378,8 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
     };
     assert_eq!(e.error, "draining");
 
-    // Every in-flight request completes, plus exactly one refusal for
-    // the post-shutdown request. The refusal is queued inline by the
-    // router while the backlog is still computing, so it may arrive
-    // ahead of the Ok responses — match by id, not by order.
-    let mut seen = std::collections::HashMap::new();
-    let mut refusals = Vec::new();
-    for _ in 0..graphs.len() + 1 {
-        match client.read_response() {
-            WireResponse::Ok(a) => {
-                seen.insert(a.id.clone(), a.placement.len());
-            }
-            WireResponse::Err(e) => refusals.push(e),
-        }
+    for _ in read..graphs.len() + 1 {
+        record(client.read_response());
     }
     for (i, g) in graphs.iter().enumerate() {
         assert_eq!(
