@@ -30,9 +30,9 @@
 //! (converging policies, buffer replays) therefore skip the simulator
 //! entirely.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Default worker count: the machine's available parallelism.
 pub fn default_workers() -> usize {
@@ -56,22 +56,27 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
+    // A slot's lock is held only to store a finished result, which
+    // cannot panic, so it is never poisoned.
+    std::thread::scope(|s| {
         for _ in 0..num_workers.min(n_jobs) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n_jobs {
                     break;
                 }
                 let r = f(i);
-                *slots[i].lock() = Some(r);
+                *slots[i].lock().expect("slot lock is never poisoned") = Some(r);
             });
         }
-    })
-    .expect("rollout worker panicked");
+    });
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("every job ran"))
+        .map(|m| {
+            m.into_inner()
+                .expect("slot lock is never poisoned")
+                .expect("every job ran")
+        })
         .collect()
 }
 

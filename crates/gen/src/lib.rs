@@ -58,7 +58,7 @@ pub fn generate_dataset(spec: &DatasetSpec, count: usize, base_seed: u64) -> Dat
 }
 
 /// Parallel variant of [`generate_dataset`] using `threads` worker
-/// threads (crossbeam scoped). Produces exactly the same graphs as the
+/// scoped threads. Produces exactly the same graphs as the
 /// sequential version — each graph depends only on its own seed — so
 /// datasets stay reproducible regardless of thread count.
 pub fn generate_dataset_parallel(
@@ -69,18 +69,17 @@ pub fn generate_dataset_parallel(
 ) -> Dataset {
     let threads = threads.max(1);
     let mut graphs: Vec<Option<StreamGraph>> = vec![None; count];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, chunk) in graphs.chunks_mut(count.div_ceil(threads)).enumerate() {
             let offset = t * count.div_ceil(threads);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, slot) in chunk.iter_mut().enumerate() {
                     let seed = base_seed.wrapping_add((offset + i) as u64);
                     *slot = Some(generate_graph(spec, seed));
                 }
             });
         }
-    })
-    .expect("generator threads do not panic");
+    });
     Dataset {
         name: spec.name.clone(),
         cluster: spec.cluster(),

@@ -181,7 +181,7 @@ pub fn run_bench(cfg: &BenchConfig) -> std::io::Result<BenchReport> {
     let counts = WireCounts::default();
 
     let mut elapsed_s = 0.0;
-    crossbeam::thread::scope(|s| -> std::io::Result<()> {
+    std::thread::scope(|s| -> std::io::Result<()> {
         let mut handles = Vec::new();
         for conn in 0..connections {
             // Request i goes to connection i % connections at t = i·interval.
@@ -190,7 +190,7 @@ pub fn run_bench(cfg: &BenchConfig) -> std::io::Result<BenchReport> {
                 .map(|i| (i, start + interval.mul_prec(i)))
                 .collect();
             let (graphs, samples, counts) = (&graphs, &samples, &counts);
-            handles.push(s.spawn(move |_| -> std::io::Result<()> {
+            handles.push(s.spawn(move || -> std::io::Result<()> {
                 run_connection(&cfg.addr, conn, &schedule, graphs, samples, counts)
             }));
         }
@@ -206,8 +206,7 @@ pub fn run_bench(cfg: &BenchConfig) -> std::io::Result<BenchReport> {
         }
         elapsed_s = (Instant::now().saturating_duration_since(start)).as_secs_f64();
         Ok(())
-    })
-    .map_err(|_| std::io::Error::other("bench scope panicked"))??;
+    })?;
 
     if cfg.shutdown {
         let mut ctl = TcpStream::connect(&cfg.addr)?;
