@@ -17,11 +17,11 @@ use spg_nn::{Matrix, ParamSet, Tape, Var};
 
 /// The collapse head: node embeddings + edge features → per-edge logits.
 #[derive(Debug, Clone)]
-pub struct CollapseHead {
-    pub(crate) head_proj: Linear,
-    pub(crate) tail_proj: Linear,
-    pub(crate) edge_proj: Linear,
-    pub(crate) merge: Mlp,
+pub struct CollapseHead<L = Linear> {
+    pub(crate) head_proj: L,
+    pub(crate) tail_proj: L,
+    pub(crate) edge_proj: L,
+    pub(crate) merge: Mlp<L>,
     pub(crate) edge_collapse_features: bool,
 }
 

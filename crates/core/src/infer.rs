@@ -1,11 +1,16 @@
-//! Tape-free batched inference for [`CoarsenModel`].
+//! Tape-free batched inference for [`CoarsenModel`] and its int8 form,
+//! [`QuantizedModel`].
 //!
 //! The training forward builds a [`spg_nn::Tape`]: every op allocates a
 //! node, every parameter use clones its matrix, and gather/segment passes
 //! walk COO index vectors rebuilt per call. None of that is needed at
 //! serve time — inference never backprops — so this module re-implements
-//! the encoder and collapse head as plain [`Matrix`] ops with three
-//! properties:
+//! the encoder and collapse head as plain [`Matrix`] ops. The forward is
+//! written once, over [`InferLayer`]: a [`CoarsenNet`] of f32
+//! [`Linear`](spg_nn::Linear) layers runs the exact matmul and tanh, one
+//! of [`QuantizedLinear`] layers runs the int8 GEMM and the fast tanh,
+//! and the graph ops (gather, segment mean, concat) are shared. The f32
+//! forward has three properties:
 //!
 //! * **Zero steady-state allocation**: intermediates come from an
 //!   [`InferenceScratch`] arena reused across calls (and across serve
@@ -20,16 +25,19 @@
 //!   per-segment sums add in the same order the COO loop did; divisions
 //!   use the same `/= count`). The `tests/infer.rs` corpus pins
 //!   tape-vs-tape-free equality bit for bit.
+//!
+//! The int8 forward shares the first two and is deterministic instead
+//! of tape-identical; `tests/quantized_agreement.rs` pins its bits and
+//! how closely its placements agree with f32.
 
 use crate::collapse::CollapseHead;
 use crate::encoder::EdgeAwareGnn;
-use crate::model::{sigmoid, CoarsenModel};
+use crate::model::{sigmoid, CoarsenModel, CoarsenNet};
 use spg_graph::features::{EDGE_FEATURES, NODE_FEATURES};
 use spg_graph::{Csr, GraphFeatures, StreamGraph};
-use spg_nn::quant::tanh_assign_fast;
-use spg_nn::{Matrix, QuantizedLinear, QuantizedMlp};
+use spg_nn::{InferLayer, Matrix, QuantizedLinear};
 
-pub use spg_nn::{InferenceScratch, QuantScratch};
+pub use spg_nn::InferenceScratch;
 
 /// A topology view for inference: edge list plus forward/reverse CSR.
 struct InferTopo<'a> {
@@ -161,10 +169,10 @@ fn concat2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-impl EdgeAwareGnn {
+impl<L: InferLayer> EdgeAwareGnn<L> {
     /// Tape-free [`EdgeAwareGnn::encode`]: returns the `[N x 2m]` node
     /// representation as an arena matrix (bitwise identical to the tape
-    /// path). `put` it back when done.
+    /// path for f32 layers). `put` it back when done.
     fn encode_infer(
         &self,
         topo: &InferTopo<'_>,
@@ -179,9 +187,9 @@ impl EdgeAwareGnn {
         let mut nf = s.take(n, NODE_FEATURES);
         nf.data.copy_from_slice(node_feats);
         let mut h_up = s.take(n, m);
-        self.input_proj.forward_infer(&nf, &mut h_up);
+        self.input_proj.forward_infer(&nf, s, &mut h_up);
         s.put(nf);
-        h_up.tanh_assign();
+        L::tanh_assign(&mut h_up);
 
         if e == 0 {
             let mut out = s.take(n, 2 * m);
@@ -206,26 +214,26 @@ impl EdgeAwareGnn {
             // Upstream view: messages flow along edge direction to dst.
             gather_concat(&h_up, topo.edges, true, &ef, &mut cat);
             let mut msg = self.msg.forward_infer(&cat, s);
-            msg.tanh_assign();
+            L::tanh_assign(&mut msg);
             pool.fill_zero();
             segment_mean_csr(&msg, topo.rev, &mut pool);
             s.put(msg);
             concat2(&h_up, &pool, &mut cat2);
             let mut up_new = s.take(n, m);
-            self.update.forward_infer(&cat2, &mut up_new);
-            up_new.tanh_assign();
+            self.update.forward_infer(&cat2, s, &mut up_new);
+            L::tanh_assign(&mut up_new);
 
             // Downstream view: messages flow against edge direction to src.
             gather_concat(&h_down, topo.edges, false, &ef, &mut cat);
             let mut msg = self.msg.forward_infer(&cat, s);
-            msg.tanh_assign();
+            L::tanh_assign(&mut msg);
             pool.fill_zero();
             segment_mean_csr(&msg, topo.fwd, &mut pool);
             s.put(msg);
             concat2(&h_down, &pool, &mut cat2);
             let mut down_new = s.take(n, m);
-            self.update.forward_infer(&cat2, &mut down_new);
-            down_new.tanh_assign();
+            self.update.forward_infer(&cat2, s, &mut down_new);
+            L::tanh_assign(&mut down_new);
 
             s.put(h_up);
             s.put(h_down);
@@ -245,9 +253,10 @@ impl EdgeAwareGnn {
     }
 }
 
-impl CollapseHead {
+impl<L: InferLayer> CollapseHead<L> {
     /// Tape-free [`CollapseHead::logits`]: per-edge logits `[E x 1]` as
-    /// an arena matrix (bitwise identical to the tape path).
+    /// an arena matrix (bitwise identical to the tape path for f32
+    /// layers).
     fn logits_infer(
         &self,
         topo: &InferTopo<'_>,
@@ -262,17 +271,17 @@ impl CollapseHead {
         let eh = self.edge_proj.output_dim();
 
         let mut head_all = s.take(n, m);
-        self.head_proj.forward_infer(h, &mut head_all);
+        self.head_proj.forward_infer(h, s, &mut head_all);
         let mut tail_all = s.take(n, m);
-        self.tail_proj.forward_infer(h, &mut tail_all);
+        self.tail_proj.forward_infer(h, s, &mut tail_all);
 
         let mut ef_in = s.take(e, EDGE_FEATURES);
         if self.edge_collapse_features {
             ef_in.data.copy_from_slice(edge_feats);
         }
         let mut ef = s.take(e, eh);
-        self.edge_proj.forward_infer(&ef_in, &mut ef);
-        ef.tanh_assign();
+        self.edge_proj.forward_infer(&ef_in, s, &mut ef);
+        L::tanh_assign(&mut ef);
         s.put(ef_in);
 
         let mut cat = s.take(e, 2 * m + eh);
@@ -292,10 +301,10 @@ impl CollapseHead {
     }
 }
 
-impl CoarsenModel {
+impl<L: InferLayer> CoarsenNet<L> {
     /// Tape-free inference probabilities for one graph, reusing a scratch
-    /// arena across calls. Bitwise identical to the tape forward
-    /// ([`CoarsenModel::forward`] + sigmoid); empty for edgeless graphs.
+    /// arena across calls; empty for edgeless graphs. With f32 layers the
+    /// result is bitwise identical to the tape forward + sigmoid.
     pub fn infer_probs(
         &self,
         graph: &StreamGraph,
@@ -340,8 +349,8 @@ impl CoarsenModel {
     ///
     /// Single-edged-graph batches (the common serve case after in-batch
     /// dedup) skip the union entirely and run on the graph's own CSR.
-    /// Results are bitwise identical to solo [`CoarsenModel::infer_probs`]
-    /// calls; edgeless graphs get empty vectors.
+    /// Results are bitwise identical to solo [`Self::infer_probs`] calls;
+    /// edgeless graphs get empty vectors.
     pub fn predict_probs_batch_with(
         &self,
         union: &mut BatchUnion,
@@ -378,250 +387,66 @@ impl CoarsenModel {
         }
         out
     }
-
-    /// Quantize every weight matrix into an int8 [`QuantizedModel`].
-    /// Done once at checkpoint load; the f32 model stays untouched.
-    pub fn quantize(&self) -> QuantizedModel {
-        QuantizedModel {
-            input_proj: QuantizedLinear::from_linear(&self.encoder.input_proj),
-            msg: QuantizedMlp::from_mlp(&self.encoder.msg),
-            update: QuantizedLinear::from_linear(&self.encoder.update),
-            head_proj: QuantizedLinear::from_linear(&self.head.head_proj),
-            tail_proj: QuantizedLinear::from_linear(&self.head.tail_proj),
-            edge_proj: QuantizedLinear::from_linear(&self.head.edge_proj),
-            merge: QuantizedMlp::from_mlp(&self.head.merge),
-            hidden: self.encoder.hidden,
-            hops: self.encoder.hops,
-            edge_encoding: self.encoder.edge_encoding,
-            edge_collapse_features: self.head.edge_collapse_features,
-        }
-    }
 }
 
-/// Int8-quantized twin of [`CoarsenModel`] for the opt-in serve path:
-/// every `Linear` becomes a [`QuantizedLinear`] (per-output-channel
-/// symmetric scales fixed at quantization time), while the graph ops
-/// (gather, segment mean, concat) and activations stay f32. Results are
-/// deterministic across replicas and SIMD tiers — the integer
-/// accumulation argument lives in `spg_nn::quant` — but are *not*
-/// bitwise equal to the f32 path; `tests/quantized_agreement.rs` pins
-/// how closely the resulting placements must agree.
-#[derive(Debug, Clone)]
-pub struct QuantizedModel {
-    input_proj: QuantizedLinear,
-    msg: QuantizedMlp,
-    update: QuantizedLinear,
-    head_proj: QuantizedLinear,
-    tail_proj: QuantizedLinear,
-    edge_proj: QuantizedLinear,
-    merge: QuantizedMlp,
-    hidden: usize,
-    hops: usize,
-    edge_encoding: bool,
-    edge_collapse_features: bool,
-}
+/// Int8-quantized form of [`CoarsenModel`] for the opt-in serve path:
+/// every [`Linear`](spg_nn::Linear) becomes a [`QuantizedLinear`]
+/// (per-output-channel symmetric scales fixed at quantization time) and
+/// every tanh the fast rational one, while the graph ops (gather,
+/// segment mean, concat) and the activations between layers stay f32.
+/// Results are deterministic across replicas and SIMD tiers — the
+/// integer accumulation argument lives in `spg_nn::quant` — but are
+/// *not* bitwise equal to the f32 path; `tests/quantized_agreement.rs`
+/// pins their bits and how closely the resulting placements must agree.
+pub type QuantizedModel = CoarsenNet<QuantizedLinear>;
 
-impl QuantizedModel {
-    /// Quantized twin of `EdgeAwareGnn::encode_infer`: same arena
-    /// ping-pong and graph ops, quantized matmuls.
-    fn encode_infer_quantized(
-        &self,
-        topo: &InferTopo<'_>,
-        node_feats: &[f32],
-        edge_feats: &[f32],
-        s: &mut InferenceScratch,
-        q: &mut QuantScratch,
-    ) -> Matrix {
-        let n = topo.num_nodes;
-        let e = topo.edges.len();
-        let m = self.hidden;
-
-        let mut nf = s.take(n, NODE_FEATURES);
-        nf.data.copy_from_slice(node_feats);
-        let mut h_up = s.take(n, m);
-        self.input_proj.forward_infer(&nf, q, &mut h_up);
-        s.put(nf);
-        tanh_assign_fast(&mut h_up);
-
-        if e == 0 {
-            let mut out = s.take(n, 2 * m);
-            concat2(&h_up, &h_up, &mut out);
-            s.put(h_up);
-            return out;
-        }
-
-        let mut h_down = s.take(n, m);
-        h_down.data.copy_from_slice(&h_up.data);
-
-        let mut ef = s.take(e, EDGE_FEATURES);
-        if self.edge_encoding {
-            ef.data.copy_from_slice(edge_feats);
-        }
-
-        let mut cat = s.take(e, m + EDGE_FEATURES);
-        let mut pool = s.take(n, m);
-        let mut cat2 = s.take(n, 2 * m);
-        for _ in 0..self.hops {
-            gather_concat(&h_up, topo.edges, true, &ef, &mut cat);
-            let mut msg = self.msg.forward_infer(&cat, q, s);
-            tanh_assign_fast(&mut msg);
-            pool.fill_zero();
-            segment_mean_csr(&msg, topo.rev, &mut pool);
-            s.put(msg);
-            concat2(&h_up, &pool, &mut cat2);
-            let mut up_new = s.take(n, m);
-            self.update.forward_infer(&cat2, q, &mut up_new);
-            tanh_assign_fast(&mut up_new);
-
-            gather_concat(&h_down, topo.edges, false, &ef, &mut cat);
-            let mut msg = self.msg.forward_infer(&cat, q, s);
-            tanh_assign_fast(&mut msg);
-            pool.fill_zero();
-            segment_mean_csr(&msg, topo.fwd, &mut pool);
-            s.put(msg);
-            concat2(&h_down, &pool, &mut cat2);
-            let mut down_new = s.take(n, m);
-            self.update.forward_infer(&cat2, q, &mut down_new);
-            tanh_assign_fast(&mut down_new);
-
-            s.put(h_up);
-            s.put(h_down);
-            h_up = up_new;
-            h_down = down_new;
-        }
-        s.put(ef);
-        s.put(cat);
-        s.put(pool);
-        s.put(cat2);
-
-        let mut out = s.take(n, 2 * m);
-        concat2(&h_up, &h_down, &mut out);
-        s.put(h_up);
-        s.put(h_down);
-        out
-    }
-
-    /// Quantized twin of `CollapseHead::logits_infer`.
-    fn logits_infer_quantized(
-        &self,
-        topo: &InferTopo<'_>,
-        edge_feats: &[f32],
-        h: &Matrix,
-        s: &mut InferenceScratch,
-        q: &mut QuantScratch,
-    ) -> Matrix {
-        let e = topo.edges.len();
-        assert!(e > 0, "logits need at least one edge");
-        let n = h.rows;
-        let m = self.head_proj.output_dim();
-        let eh = self.edge_proj.output_dim();
-
-        let mut head_all = s.take(n, m);
-        self.head_proj.forward_infer(h, q, &mut head_all);
-        let mut tail_all = s.take(n, m);
-        self.tail_proj.forward_infer(h, q, &mut tail_all);
-
-        let mut ef_in = s.take(e, EDGE_FEATURES);
-        if self.edge_collapse_features {
-            ef_in.data.copy_from_slice(edge_feats);
-        }
-        let mut ef = s.take(e, eh);
-        self.edge_proj.forward_infer(&ef_in, q, &mut ef);
-        tanh_assign_fast(&mut ef);
-        s.put(ef_in);
-
-        let mut cat = s.take(e, 2 * m + eh);
-        for (i, &(u, v)) in topo.edges.iter().enumerate() {
-            let row = cat.row_mut(i);
-            row[..m].copy_from_slice(head_all.row(u as usize));
-            row[m..2 * m].copy_from_slice(tail_all.row(v as usize));
-            row[2 * m..].copy_from_slice(ef.row(i));
-        }
-        s.put(head_all);
-        s.put(tail_all);
-        s.put(ef);
-
-        let logits = self.merge.forward_infer(&cat, q, s);
-        s.put(cat);
-        logits
-    }
-
-    /// Quantized twin of [`CoarsenModel::infer_probs`]: collapse
-    /// probabilities for one graph; empty for edgeless graphs.
+impl CoarsenModel {
+    /// Tape-free inference probabilities for one graph, reusing a scratch
+    /// arena across calls. Bitwise identical to the tape forward
+    /// ([`CoarsenModel::forward`] + sigmoid); empty for edgeless graphs.
     pub fn infer_probs(
         &self,
         graph: &StreamGraph,
         feats: &GraphFeatures,
         scratch: &mut InferenceScratch,
-        qscratch: &mut QuantScratch,
     ) -> Vec<f32> {
-        if graph.num_edges() == 0 {
-            return Vec::new();
-        }
-        let view = graph.topo_view();
-        let topo = InferTopo {
-            num_nodes: view.num_nodes,
-            edges: view.edges,
-            fwd: graph.out_csr(),
-            rev: graph.in_csr(),
-        };
-        self.infer_probs_topo(&topo, &feats.node.0, &feats.edge.0, scratch, qscratch)
+        self.net.infer_probs(graph, feats, scratch)
     }
 
-    fn infer_probs_topo(
-        &self,
-        topo: &InferTopo<'_>,
-        node_feats: &[f32],
-        edge_feats: &[f32],
-        scratch: &mut InferenceScratch,
-        qscratch: &mut QuantScratch,
-    ) -> Vec<f32> {
-        let h = self.encode_infer_quantized(topo, node_feats, edge_feats, scratch, qscratch);
-        let z = self.logits_infer_quantized(topo, edge_feats, &h, scratch, qscratch);
-        scratch.put(h);
-        let probs = z.data.iter().map(|&x| sigmoid(x)).collect();
-        scratch.put(z);
-        probs
-    }
-
-    /// Quantized twin of [`CoarsenModel::predict_probs_batch_with`]:
-    /// identical batching, union caching, and result slicing; only the
-    /// matmuls are quantized.
+    /// Batched tape-free inference with explicit state; see
+    /// [`CoarsenNet::predict_probs_batch_with`]. Results are bitwise
+    /// identical to solo [`CoarsenModel::infer_probs`] calls.
     pub fn predict_probs_batch_with(
         &self,
         union: &mut BatchUnion,
         scratch: &mut InferenceScratch,
-        qscratch: &mut QuantScratch,
         keys: Option<&[u64]>,
         items: &[(&StreamGraph, &GraphFeatures)],
     ) -> Vec<Vec<f32>> {
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
-        let edged: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].0.num_edges() > 0)
-            .collect();
-        if edged.is_empty() {
-            return out;
-        }
-        if edged.len() == 1 {
-            let (g, f) = items[edged[0]];
-            out[edged[0]] = self.infer_probs(g, f, scratch, qscratch);
-            return out;
-        }
+        self.net
+            .predict_probs_batch_with(union, scratch, keys, items)
+    }
 
-        union.build(items, &edged, keys);
-        let topo = InferTopo {
-            num_nodes: union.num_nodes,
-            edges: &union.edges,
-            fwd: &union.fwd,
-            rev: &union.rev,
-        };
-        let probs = self.infer_probs_topo(&topo, &union.node, &union.edge, scratch, qscratch);
-        let mut pos = 0;
-        for &i in &edged {
-            let e = items[i].0.num_edges();
-            out[i] = probs[pos..pos + e].to_vec();
-            pos += e;
+    /// Quantize every weight matrix into an int8 [`QuantizedModel`].
+    /// Done once at checkpoint load; the f32 model stays untouched.
+    pub fn quantize(&self) -> QuantizedModel {
+        let (enc, head) = (&self.net.encoder, &self.net.head);
+        CoarsenNet {
+            encoder: EdgeAwareGnn {
+                input_proj: QuantizedLinear::from_linear(&enc.input_proj),
+                msg: enc.msg.quantize(),
+                update: QuantizedLinear::from_linear(&enc.update),
+                hidden: enc.hidden,
+                hops: enc.hops,
+                edge_encoding: enc.edge_encoding,
+            },
+            head: CollapseHead {
+                head_proj: QuantizedLinear::from_linear(&head.head_proj),
+                tail_proj: QuantizedLinear::from_linear(&head.tail_proj),
+                edge_proj: QuantizedLinear::from_linear(&head.edge_proj),
+                merge: head.merge.quantize(),
+                edge_collapse_features: head.edge_collapse_features,
+            },
         }
-        out
     }
 }

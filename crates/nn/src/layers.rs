@@ -1,5 +1,6 @@
 //! Layers built on the tape: `Linear`, `Mlp`, and an `LstmCell` (used by
-//! the Graph-enc-dec baseline's sequential device decoder).
+//! the Graph-enc-dec baseline's sequential device decoder), plus the
+//! [`InferLayer`] interface the tape-free forward runs on.
 
 use crate::init::xavier;
 use crate::matrix::Matrix;
@@ -33,24 +34,44 @@ impl Linear {
         t.add_row(y, b)
     }
 
-    /// Tape-free forward into a preallocated `out` (`x.rows x output_dim`).
+    /// Input width.
+    pub fn input_dim(&self) -> usize {
+        self.w.shape().0
+    }
+}
+
+/// A dense layer plus the tanh its precision uses: everything the
+/// tape-free forward needs from a layer, so one forward runs f32
+/// ([`Linear`]) and int8 ([`crate::QuantizedLinear`]) alike.
+pub trait InferLayer {
+    /// Output width.
+    fn output_dim(&self) -> usize;
+
+    /// Tape-free forward into a preallocated `out` (`x.rows x
+    /// output_dim`); any staging buffers come from `scratch`.
+    fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Matrix);
+
+    /// The in-place tanh that follows this precision's layers.
+    fn tanh_assign(m: &mut Matrix);
+}
+
+impl InferLayer for Linear {
+    fn output_dim(&self) -> usize {
+        self.w.shape().1
+    }
+
     /// Reads the weights in place — no parameter clone, no tape node —
     /// and produces bitwise-identical values to [`Linear::forward`].
-    pub fn forward_infer(&self, x: &Matrix, out: &mut Matrix) {
+    fn forward_infer(&self, x: &Matrix, _scratch: &mut InferenceScratch, out: &mut Matrix) {
         let w = self.w.0.borrow();
         let b = self.b.0.borrow();
         x.matmul_into(&w.value, out);
         out.add_row_assign(&b.value);
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.w.shape().0
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.w.shape().1
+    /// The exact tanh, the same scalar op as the tape's.
+    fn tanh_assign(m: &mut Matrix) {
+        m.tanh_assign();
     }
 }
 
@@ -73,21 +94,16 @@ impl Activation {
             Activation::Sigmoid => t.sigmoid(x),
         }
     }
-
-    /// In-place variant using the same scalar ops as the tape versions.
-    pub(crate) fn apply_infer(self, x: &mut Matrix) {
-        match self {
-            Activation::Tanh => x.tanh_assign(),
-            Activation::Relu => x.relu_assign(),
-            Activation::Sigmoid => x.sigmoid_assign(),
-        }
-    }
 }
 
 /// Multi-layer perceptron: hidden layers with activation, linear output.
+/// Trained with [`Linear`] layers; `Mlp<QuantizedLinear>` is its int8
+/// inference form (see [`Mlp::quantize`]).
+///
+/// [`QuantizedLinear`]: crate::QuantizedLinear
 #[derive(Debug, Clone)]
-pub struct Mlp {
-    pub(crate) layers: Vec<Linear>,
+pub struct Mlp<L = Linear> {
+    pub(crate) layers: Vec<L>,
     pub(crate) activation: Activation,
 }
 
@@ -118,19 +134,26 @@ impl Mlp {
         }
         x
     }
+}
 
-    /// Tape-free forward; intermediates ping-pong through `scratch`.
-    /// Bitwise identical to [`Mlp::forward`]. The returned matrix comes
-    /// from the arena — `put` it back when done.
+impl<L: InferLayer> Mlp<L> {
+    /// Tape-free forward; intermediates ping-pong through `scratch`. A
+    /// Tanh hidden layer takes the layer type's own tanh, so
+    /// `Mlp<Linear>` is bitwise identical to [`Mlp::forward`]. The
+    /// returned matrix comes from the arena — `put` it back when done.
     pub fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch) -> Matrix {
         let last = self.layers.len() - 1;
         let mut cur: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
             let xin = cur.as_ref().unwrap_or(x);
             let mut out = scratch.take(xin.rows, layer.output_dim());
-            layer.forward_infer(xin, &mut out);
+            layer.forward_infer(xin, scratch, &mut out);
             if i != last {
-                self.activation.apply_infer(&mut out);
+                match self.activation {
+                    Activation::Tanh => L::tanh_assign(&mut out),
+                    Activation::Relu => out.relu_assign(),
+                    Activation::Sigmoid => out.sigmoid_assign(),
+                }
             }
             if let Some(prev) = cur.take() {
                 scratch.put(prev);

@@ -1,9 +1,10 @@
 //! One shared-nothing serving replica: model copy, batcher, LRU shard.
 //!
-//! A replica owns everything its shard needs — a [`CoarsenModel`]
-//! materialized from the (cloneable, `Send`) checkpoint, the reusable
-//! [`InferenceScratch`] arena, the [`BatchUnion`] topology cache, and an
-//! LRU shard — so replicas never share mutable state and never lock.
+//! A replica owns everything its shard needs — a model materialized at
+//! the configured precision from the (cloneable, `Send`) checkpoint, the
+//! reusable [`InferenceScratch`] arena, the [`BatchUnion`] topology
+//! cache, and an LRU shard — so replicas never share mutable state and
+//! never lock.
 //! The router consistent-hashes by content fingerprint, which means a
 //! repeat request always lands on the shard whose LRU already holds its
 //! placement.
@@ -30,7 +31,7 @@ use rand_chacha::ChaCha8Rng;
 use spg_core::checkpoint::Checkpoint;
 use spg_core::policy::{CoarseningPolicy, DecodeMode};
 use spg_core::{
-    rollout, BatchUnion, CoarsePlacer, InferenceScratch, MetisCoarsePlacer, QuantScratch,
+    rollout, BatchUnion, CoarsePlacer, CoarsenModel, InferenceScratch, MetisCoarsePlacer,
     QuantizedModel,
 };
 use spg_graph::wire::AllocResponse;
@@ -96,6 +97,30 @@ pub(crate) struct Job {
 /// one-response-per-request invariant survives the panic. Single
 /// thread, two scopes (loop and supervisor), hence `RefCell` not a lock.
 pub(crate) type FlightTable = RefCell<HashMap<u64, (u64, String)>>;
+
+/// The model one replica incarnation serves, at the configured precision.
+// One per incarnation and never moved on the request path.
+#[allow(clippy::large_enum_variant)]
+enum ServedModel {
+    F32(CoarsenModel),
+    Int8(QuantizedModel),
+}
+
+impl ServedModel {
+    /// Collapse probabilities for a batch, one cache key per item.
+    fn predict(
+        &self,
+        union: &mut BatchUnion,
+        scratch: &mut InferenceScratch,
+        keys: &[u64],
+        items: &[(&StreamGraph, &GraphFeatures)],
+    ) -> Vec<Vec<f32>> {
+        match self {
+            Self::F32(m) => m.predict_probs_batch_with(union, scratch, Some(keys), items),
+            Self::Int8(m) => m.predict_probs_batch_with(union, scratch, Some(keys), items),
+        }
+    }
+}
 
 /// A finished response line, heading back to the I/O loop.
 pub(crate) struct Completion {
@@ -210,18 +235,17 @@ fn replica_loop(
     generation: u64,
 ) {
     let model = checkpoint.into_model();
-    // The quantized twin is materialized once per incarnation, exactly
-    // like the f32 model: scale selection happens here, not per request.
-    let qmodel = match cfg.precision {
-        Precision::F32 => None,
-        Precision::Int8 => Some(model.quantize()),
-    };
     let policy = CoarseningPolicy::from_config(&model.config);
+    // Quantized once per incarnation: scale selection never runs per
+    // request.
+    let model = match cfg.precision {
+        Precision::F32 => ServedModel::F32(model),
+        Precision::Int8 => ServedModel::Int8(model.quantize()),
+    };
     let placer = MetisCoarsePlacer::new(cfg.seed);
     let mut cache: LruCache<(Vec<u32>, f64)> = LruCache::new(cfg.cache_capacity);
     let mut union = BatchUnion::new();
     let mut scratch = InferenceScratch::new();
-    let mut qscratch = QuantScratch::new();
     let timeout = Duration::from_millis(cfg.request_timeout_ms);
     let workers = cfg.workers.clamp(1, rollout::default_workers());
     let inc_cfg = IncrementalConfig::default();
@@ -414,13 +438,12 @@ fn replica_loop(
                             devices,
                             source_rate,
                             base_cluster,
+                            cfg.precision,
                             &model,
-                            qmodel.as_ref(),
                             &policy,
                             &placer,
                             &mut union,
                             &mut scratch,
-                            &mut qscratch,
                             report,
                         );
                         Ok((placement, relative, Some("full")))
@@ -433,7 +456,6 @@ fn replica_loop(
                     // The batcher state may be mid-update; rebuild it.
                     union = BatchUnion::new();
                     scratch = InferenceScratch::new();
-                    qscratch = QuantScratch::new();
                     report.panics_caught += 1;
                     sink.counter("serve.fault.panics_caught", 1);
                     Err(ServeError::Internal(format!(
@@ -519,21 +541,7 @@ fn replica_loop(
                     // topology, devices, and rate — everything the features
                     // are derived from.
                     let keys: Vec<u64> = unique.iter().map(|&i| todo[i].fingerprint).collect();
-                    match &qmodel {
-                        Some(qm) => qm.predict_probs_batch_with(
-                            &mut union,
-                            &mut scratch,
-                            &mut qscratch,
-                            Some(&keys),
-                            &items,
-                        ),
-                        None => model.predict_probs_batch_with(
-                            &mut union,
-                            &mut scratch,
-                            Some(&keys),
-                            &items,
-                        ),
-                    }
+                    model.predict(&mut union, &mut scratch, &keys, &items)
                 };
                 (prepared, probs)
             };
@@ -547,18 +555,8 @@ fn replica_loop(
                 rollout::run_ordered(workers, unique.len(), move |u| {
                     let job = &todo[unique[u]];
                     let (rates, _, cluster) = &prepared[u];
-                    // Greedy decoding ignores the RNG; seed from content so
-                    // even a non-greedy mode would stay request-deterministic.
-                    let mut rng = ChaCha8Rng::seed_from_u64(job.fingerprint);
-                    let decisions = policy.decode(&probs[u], DecodeMode::Greedy, &mut rng);
-                    let coarsening =
-                        policy.apply(&job.graph, rates, cluster, &decisions, &probs[u]);
-                    let coarse = placer.place_coarse(&coarsening.coarse, cluster);
-                    let placement = Placement::lift(&coarse, &coarsening.node_map);
-                    let relative = spg_sim::reward::relative_throughput_with_rates(
-                        &job.graph, cluster, &placement, rates,
-                    );
-                    (placement.as_slice().to_vec(), relative)
+                    let (graph, key) = (&job.graph, job.fingerprint);
+                    place(policy, placer, graph, cluster, rates, &probs[u], key)
                 })
             };
             report.rollout_ns += rollout_start.elapsed().as_nanos() as u64;
@@ -569,7 +567,6 @@ fn replica_loop(
             Err(_) => {
                 union = BatchUnion::new();
                 scratch = InferenceScratch::new();
-                qscratch = QuantScratch::new();
                 report.panics_caught += 1;
                 sink.counter("serve.fault.panics_caught", 1);
                 let err = ServeError::Internal(format!(
@@ -627,20 +624,15 @@ fn solo_alloc(
     devices: usize,
     source_rate: f64,
     base_cluster: ClusterSpec,
-    model: &spg_core::CoarsenModel,
-    qmodel: Option<&QuantizedModel>,
+    precision: Precision,
+    model: &ServedModel,
     policy: &CoarseningPolicy,
     placer: &MetisCoarsePlacer,
     union: &mut BatchUnion,
     scratch: &mut InferenceScratch,
-    qscratch: &mut QuantScratch,
     report: &mut ServeReport,
 ) -> (Vec<u32>, f64) {
-    let key = crate::lru::request_fingerprint(graph, devices, source_rate);
-    let key = match qmodel {
-        Some(_) => crate::lru::quantized_fingerprint(key),
-        None => key,
-    };
+    let key = precision.key(crate::lru::request_fingerprint(graph, devices, source_rate));
     let cluster = ClusterSpec {
         devices,
         ..base_cluster
@@ -648,22 +640,35 @@ fn solo_alloc(
     let encode_start = Instant::now();
     let rates = TupleRates::compute(graph, source_rate);
     let feats = GraphFeatures::extract_with_rates(graph, &cluster, &rates);
-    let probs = match qmodel {
-        Some(qm) => {
-            qm.predict_probs_batch_with(union, scratch, qscratch, Some(&[key]), &[(graph, &feats)])
-        }
-        None => model.predict_probs_batch_with(union, scratch, Some(&[key]), &[(graph, &feats)]),
-    };
+    let probs = model.predict(union, scratch, &[key], &[(graph, &feats)]);
     report.encode_ns += encode_start.elapsed().as_nanos() as u64;
 
     let rollout_start = Instant::now();
+    let result = place(policy, placer, graph, &cluster, &rates, &probs[0], key);
+    report.rollout_ns += rollout_start.elapsed().as_nanos() as u64;
+    result
+}
+
+/// Decode → place → lift → reward for one request: greedy collapse
+/// decisions, the coarse placement lifted back to the graph, and its
+/// analytic relative throughput. Greedy decoding ignores the RNG; it is
+/// seeded from the request key so even a non-greedy mode would stay
+/// request-deterministic.
+fn place(
+    policy: &CoarseningPolicy,
+    placer: &MetisCoarsePlacer,
+    graph: &StreamGraph,
+    cluster: &ClusterSpec,
+    rates: &TupleRates,
+    probs: &[f32],
+    key: u64,
+) -> (Vec<u32>, f64) {
     let mut rng = ChaCha8Rng::seed_from_u64(key);
-    let decisions = policy.decode(&probs[0], DecodeMode::Greedy, &mut rng);
-    let coarsening = policy.apply(graph, &rates, &cluster, &decisions, &probs[0]);
-    let coarse = placer.place_coarse(&coarsening.coarse, &cluster);
+    let decisions = policy.decode(probs, DecodeMode::Greedy, &mut rng);
+    let coarsening = policy.apply(graph, rates, cluster, &decisions, probs);
+    let coarse = placer.place_coarse(&coarsening.coarse, cluster);
     let placement = Placement::lift(&coarse, &coarsening.node_map);
     let relative =
-        spg_sim::reward::relative_throughput_with_rates(graph, &cluster, &placement, &rates);
-    report.rollout_ns += rollout_start.elapsed().as_nanos() as u64;
+        spg_sim::reward::relative_throughput_with_rates(graph, cluster, &placement, rates);
     (placement.as_slice().to_vec(), relative)
 }

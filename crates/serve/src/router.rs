@@ -22,10 +22,10 @@
 //! replicas gone and every response byte is flushed.
 
 use crate::error::ServeError;
-use crate::lru::{quantized_fingerprint, realloc_fingerprint, request_fingerprint};
+use crate::lru::{realloc_fingerprint, request_fingerprint};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::replica::{Completion, Job, JobKind};
-use crate::server::{Precision, ServeConfig};
+use crate::server::ServeConfig;
 use spg_graph::wire::{parse_request, WireRequest};
 use spg_graph::ClusterSpec;
 use spg_obs::TelemetrySink;
@@ -199,7 +199,8 @@ impl Router<'_> {
         let rate = rate.unwrap_or(self.source_rate);
         // Reallocs fingerprint over (prior, placement, delta) in a key
         // space disjoint from plain allocs, so a repeat delta replays
-        // from the same warm LRU shard.
+        // from the same warm LRU shard; int8 keys get a space of their
+        // own the same way.
         let fingerprint = match &kind {
             JobKind::Alloc => request_fingerprint(&graph, devices, rate),
             JobKind::Realloc {
@@ -207,13 +208,7 @@ impl Router<'_> {
                 delta,
             } => realloc_fingerprint(&graph, prior_placement, delta, devices, rate),
         };
-        // An int8 server keys its caches (and rollout seeds) in a
-        // precision-tagged space so quantized placements can never leak
-        // into an f32 deployment's key space; f32 keys are untouched.
-        let fingerprint = match self.cfg.precision {
-            Precision::F32 => fingerprint,
-            Precision::Int8 => quantized_fingerprint(fingerprint),
-        };
+        let fingerprint = self.cfg.precision.key(fingerprint);
         let shard = shard_of(fingerprint, self.job_txs.len() as u32);
         // Past the watermark the shard is already behind: mark the job
         // cache-only so the replica answers from its LRU or sheds,

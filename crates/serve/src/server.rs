@@ -30,6 +30,7 @@
 //! [`Server::run`] joins the replicas into one aggregated
 //! [`ServeReport`] with the per-shard breakdown attached.
 
+use crate::lru::quantized_fingerprint;
 use crate::reactor::WakePipe;
 use crate::replica::{supervise_shard, Completion, Job};
 use crate::router::io_loop;
@@ -55,6 +56,19 @@ pub enum Precision {
     /// `tests/quantized_agreement.rs`. Cache keys carry the precision so
     /// int8 entries can never answer an f32 request.
     Int8,
+}
+
+impl Precision {
+    /// A request or realloc fingerprint in this precision's key space:
+    /// int8 keys carry the [`quantized_fingerprint`] tag, so int8 cache
+    /// entries (and rollout seeds) can never answer an f32 request; f32
+    /// keys are untouched.
+    pub fn key(self, fingerprint: u64) -> u64 {
+        match self {
+            Precision::F32 => fingerprint,
+            Precision::Int8 => quantized_fingerprint(fingerprint),
+        }
+    }
 }
 
 impl fmt::Display for Precision {

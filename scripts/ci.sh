@@ -24,11 +24,10 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 "$SPG" evaluate --dataset "$SMOKE_DIR/ds.json" --model "$SMOKE_DIR/model.json"
 echo "e2e smoke OK"
 
-# Fault-tolerance: the dedicated injection/resume test suite, then a
-# kill-and-resume smoke through the binary — a run killed after epoch 2
-# and resumed from its snapshot must produce a checkpoint byte-identical
-# to an uninterrupted 4-epoch run.
-cargo test -q --test fault_tolerance
+# Fault-tolerance: a kill-and-resume smoke through the binary (the
+# injection/resume suite ran with the root-package tests above) — a run
+# killed after epoch 2 and resumed from its snapshot must produce a
+# checkpoint byte-identical to an uninterrupted 4-epoch run.
 "$SPG" train --dataset "$SMOKE_DIR/ds.json" --epochs 4 --seed 2 \
     --out "$SMOKE_DIR/straight.json"
 if "$SPG" train --dataset "$SMOKE_DIR/ds.json" --epochs 4 --seed 2 \
@@ -42,6 +41,26 @@ test ! -e "$SMOKE_DIR/crashed.json"   # died before the final save
     --out "$SMOKE_DIR/crashed.json"
 cmp "$SMOKE_DIR/straight.json" "$SMOKE_DIR/crashed.json"
 echo "kill-and-resume smoke OK"
+
+# Start `spg serve` on a random port with the model above plus the given
+# flags, and wait up to 5 s for it to print its listen address. Sets
+# SERVE_PID and ADDR.
+start_server() {
+    "$SPG" serve --model "$SMOKE_DIR/model.json" --addr 127.0.0.1:0 "$@" \
+        > "$SMOKE_DIR/serve.log" 2>&1 &
+    SERVE_PID=$!
+    ADDR=""
+    for _ in $(seq 1 50); do
+        ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/serve.log")
+        [ -n "$ADDR" ] && break
+        sleep 0.1
+    done
+    if [ -z "$ADDR" ]; then
+        echo "spg serve never printed its listen address" >&2
+        kill "$SERVE_PID" 2>/dev/null || true
+        exit 1
+    fi
+}
 
 # Serving: a 1-replica and a 2-replica server, each on a random port,
 # hammered by the open-loop load generator (the 2-replica run sweeps
@@ -58,22 +77,8 @@ echo "kill-and-resume smoke OK"
 serve_smoke() {
     local replicas=$1 connections=$2 precision=${3:-f32}
     local metrics="$SMOKE_DIR/serve_metrics_${precision}_r${replicas}.jsonl"
-    "$SPG" serve --model "$SMOKE_DIR/model.json" --addr 127.0.0.1:0 \
-        --replicas "$replicas" --precision "$precision" \
-        --metrics "$metrics" \
-        > "$SMOKE_DIR/serve.log" 2>&1 &
-    SERVE_PID=$!
-    ADDR=""
-    for _ in $(seq 1 50); do
-        ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/serve.log")
-        [ -n "$ADDR" ] && break
-        sleep 0.1
-    done
-    if [ -z "$ADDR" ]; then
-        echo "spg serve never printed its listen address" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
+    start_server --replicas "$replicas" --precision "$precision" \
+        --metrics "$metrics"
     "$SPG" bench-serve --addr "$ADDR" --replicas "$replicas" \
         --connections "$connections" --requests 64 \
         --graphs 8 --rate 200 --seed 0 --shutdown \
@@ -86,11 +91,10 @@ serve_smoke 1 4
 serve_smoke 2 2,4
 echo "serve smoke OK"
 
-# Quantized serving: the placement-agreement harness (int8 vs f32 over
-# the seeded corpus, pinned agreement + reward-ratio floors), then an
-# int8 serve → bench → drain smoke writing the `q8` row the perf gate
-# compares. int8 is opt-in: everything above ran the default f32 path.
-cargo test -q --test quantized_agreement
+# Quantized serving: an int8 serve → bench → drain smoke writing the
+# `q8` row the perf gate compares (the placement-agreement harness ran
+# with the root-package tests above). int8 is opt-in: everything above
+# ran the default f32 path.
 serve_smoke 1 4 int8
 echo "int8 serve smoke OK"
 
@@ -101,21 +105,7 @@ echo "int8 serve smoke OK"
 # merges the `drift` row into the bench_serve.json the perf gate below
 # reads. bench-serve --drift exits nonzero if any scenario errors, no
 # scenario takes the warm path, or the empty-delta replay diverges.
-"$SPG" serve --model "$SMOKE_DIR/model.json" --addr 127.0.0.1:0 \
-    --metrics "$SMOKE_DIR/drift_metrics.jsonl" \
-    > "$SMOKE_DIR/serve.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/serve.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-    echo "spg serve never printed its listen address" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
+start_server --metrics "$SMOKE_DIR/drift_metrics.jsonl"
 "$SPG" realloc --addr "$ADDR" --seed 1
 "$SPG" realloc --addr "$ADDR" --seed 2 --drift device-loss
 "$SPG" bench-serve --addr "$ADDR" --drift --graphs 4 --seed 0 \
@@ -130,25 +120,11 @@ echo "realloc smoke OK"
 # which exits nonzero unless every request got exactly one well-formed
 # response or a named error (errors are expected; hangs and accounting
 # gaps are not). The server process itself must still drain to exit 0.
-"$SPG" serve --model "$SMOKE_DIR/model.json" --addr 127.0.0.1:0 \
-    --replicas 2 \
+start_server --replicas 2 \
     --metrics "$SMOKE_DIR/chaos_metrics.jsonl" \
     --inject-replica-panics 0.05 --inject-replica-kills 0.02 \
     --inject-replica-stalls 0.02 \
-    --inject-conn-drops 0.05 --inject-torn-writes 0.05 \
-    > "$SMOKE_DIR/serve.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/serve.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-    echo "spg serve never printed its listen address" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
+    --inject-conn-drops 0.05 --inject-torn-writes 0.05
 "$SPG" bench-serve --addr "$ADDR" --chaos --replicas 2 --connections 4 \
     --requests 64 --graphs 8 --rate 200 --seed 0 --shutdown \
     --serve-metrics "$SMOKE_DIR/chaos_metrics.jsonl" \

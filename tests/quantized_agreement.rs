@@ -16,7 +16,6 @@ use spg::graph::{
 use spg::model::pipeline::MetisCoarsePlacer;
 use spg::model::{
     CoarsePlacer, CoarsenConfig, CoarsenModel, CoarseningPolicy, DecodeMode, InferenceScratch,
-    QuantScratch,
 };
 
 /// Exact-placement agreement the int8 path must reach over this corpus.
@@ -113,11 +112,10 @@ fn quantized_probs_stay_within_quantization_error_of_f32() {
     let model = model();
     let qmodel = model.quantize();
     let mut scratch = InferenceScratch::new();
-    let mut qscratch = QuantScratch::new();
     for (i, (graph, cluster, rate)) in corpus().iter().enumerate() {
         let feats = GraphFeatures::extract(graph, cluster, *rate);
         let f32_probs = model.infer_probs(graph, &feats, &mut scratch);
-        let q_probs = qmodel.infer_probs(graph, &feats, &mut scratch, &mut qscratch);
+        let q_probs = qmodel.infer_probs(graph, &feats, &mut scratch);
         assert_eq!(q_probs.len(), graph.num_edges(), "graph {i} length");
         let worst = f32_probs
             .iter()
@@ -144,12 +142,10 @@ fn quantized_inference_is_deterministic_across_fresh_state() {
     let qb = model.quantize();
     let mut scratch_a = InferenceScratch::new();
     let mut scratch_b = InferenceScratch::new();
-    let mut qscratch_a = QuantScratch::new();
-    let mut qscratch_b = QuantScratch::new();
     for (i, (graph, cluster, rate)) in corpus().iter().enumerate() {
         let feats = GraphFeatures::extract(graph, cluster, *rate);
-        let first = qa.infer_probs(graph, &feats, &mut scratch_a, &mut qscratch_a);
-        let second = qb.infer_probs(graph, &feats, &mut scratch_b, &mut qscratch_b);
+        let first = qa.infer_probs(graph, &feats, &mut scratch_a);
+        let second = qb.infer_probs(graph, &feats, &mut scratch_b);
         assert_eq!(
             first.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             second.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
@@ -163,14 +159,13 @@ fn quantized_placements_agree_with_f32_within_pinned_bounds() {
     let model = model();
     let qmodel = model.quantize();
     let mut scratch = InferenceScratch::new();
-    let mut qscratch = QuantScratch::new();
     let corpus = corpus();
     let mut agree = 0usize;
     let mut edged = 0usize;
     for (i, (graph, cluster, rate)) in corpus.iter().enumerate() {
         let feats = GraphFeatures::extract(graph, cluster, *rate);
         let f32_probs = model.infer_probs(graph, &feats, &mut scratch);
-        let q_probs = qmodel.infer_probs(graph, &feats, &mut scratch, &mut qscratch);
+        let q_probs = qmodel.infer_probs(graph, &feats, &mut scratch);
         let (f32_placement, f32_reward) = rollout(&model, graph, cluster, *rate, &f32_probs);
         let (q_placement, q_reward) = rollout(&model, graph, cluster, *rate, &q_probs);
         if graph.num_edges() == 0 {
@@ -229,14 +224,10 @@ fn probability_bits_of_both_precisions_are_pinned() {
         .map(|(g, c, r)| GraphFeatures::extract(g, c, *r))
         .collect();
     let mut scratch = InferenceScratch::new();
-    let mut qscratch = QuantScratch::new();
     let (mut f32_digest, mut int8_digest) = (FNV_OFFSET, FNV_OFFSET);
     for ((graph, _, _), f) in corpus.iter().zip(&feats) {
         f32_digest = fnv1a_bits(f32_digest, &model.infer_probs(graph, f, &mut scratch));
-        int8_digest = fnv1a_bits(
-            int8_digest,
-            &qmodel.infer_probs(graph, f, &mut scratch, &mut qscratch),
-        );
+        int8_digest = fnv1a_bits(int8_digest, &qmodel.infer_probs(graph, f, &mut scratch));
     }
     assert_eq!(
         int8_digest, 0x5eb9e096bd756907,
@@ -249,7 +240,6 @@ fn probability_bits_of_both_precisions_are_pinned() {
     let batched = qmodel.predict_probs_batch_with(
         &mut spg::model::BatchUnion::new(),
         &mut scratch,
-        &mut qscratch,
         None,
         &items,
     );
@@ -275,16 +265,9 @@ fn quantized_batch_matches_solo_quantized_inference() {
 
     let mut union = spg::model::BatchUnion::new();
     let mut scratch = InferenceScratch::new();
-    let mut qscratch = QuantScratch::new();
-    let batched = qmodel.predict_probs_batch_with(
-        &mut union,
-        &mut scratch,
-        &mut qscratch,
-        Some(&keys),
-        &items,
-    );
+    let batched = qmodel.predict_probs_batch_with(&mut union, &mut scratch, Some(&keys), &items);
     for (i, ((graph, _, _), probs)) in corpus.iter().zip(&batched).enumerate() {
-        let solo = qmodel.infer_probs(graph, &feats[i], &mut scratch, &mut qscratch);
+        let solo = qmodel.infer_probs(graph, &feats[i], &mut scratch);
         assert_eq!(
             probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             solo.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
