@@ -57,8 +57,8 @@ pub fn generate_dataset(spec: &DatasetSpec, count: usize, base_seed: u64) -> Dat
     }
 }
 
-/// Parallel variant of [`generate_dataset`] using `threads` worker
-/// scoped threads. Produces exactly the same graphs as the
+/// Parallel variant of [`generate_dataset`] using `threads` scoped
+/// worker threads. Produces exactly the same graphs as the
 /// sequential version — each graph depends only on its own seed — so
 /// datasets stay reproducible regardless of thread count.
 pub fn generate_dataset_parallel(
