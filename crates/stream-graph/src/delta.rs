@@ -23,8 +23,8 @@
 //! surviving nodes and must name edges that exist.
 
 use crate::graph::{Channel, GraphError, Operator, StreamGraph};
-use crate::serialize::validate_graph;
-use serde::{Deserialize, Serialize, Value};
+use crate::serialize::validate_numbers;
+use serde::{Serialize, Value};
 use std::fmt;
 
 /// Churn ratio above which warm-starting is not worth it and the
@@ -153,9 +153,9 @@ impl GraphDelta {
         Ok(())
     }
 
-    /// Apply to `prior`, producing the mutated graph (validated through
-    /// the same funnel as dataset and wire graphs) and the provenance
-    /// table.
+    /// Apply to `prior`, producing the mutated graph (built once through
+    /// the validating constructor, then given the numeric checks dataset
+    /// and wire graphs get) and the provenance table.
     pub fn apply(&self, prior: &StreamGraph) -> Result<AppliedDelta, DeltaError> {
         self.validate_shape()?;
         let n = prior.num_nodes();
@@ -255,14 +255,15 @@ impl GraphDelta {
             GraphError::Empty | GraphError::Cycle => DeltaError::InvalidResult(e.to_string()),
             other => DeltaError::BadDelta(other.to_string()),
         })?;
-        let graph = validate_graph(&graph).map_err(|e| DeltaError::InvalidResult(e.to_string()))?;
+        validate_numbers(&graph).map_err(|e| DeltaError::InvalidResult(e.to_string()))?;
         Ok(AppliedDelta { graph, origin })
     }
 }
 
-// Hand-rolled wire codec (the vendored serde derive has no
+// Hand-rolled wire encoding (the vendored serde derive has no
 // optional-field support): empty fields are omitted so a small delta
-// serializes small, and every field is optional on the way in.
+// serializes small. The request scanner in `crate::wire_fast` reads it
+// back, with every field optional.
 impl Serialize for GraphDelta {
     fn serialize(&self) -> Value {
         let mut fields = Vec::new();
@@ -296,29 +297,6 @@ impl Serialize for GraphDelta {
             fields.push(("source_rate".to_string(), sr.serialize()));
         }
         Value::Object(fields)
-    }
-}
-
-impl Deserialize for GraphDelta {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        fn opt<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, serde::Error> {
-            match v.field(name) {
-                Ok(Value::Null) | Err(_) => Ok(None),
-                Ok(x) => T::deserialize(x).map(Some),
-            }
-        }
-        Ok(GraphDelta {
-            remove_nodes: opt(v, "remove_nodes")?.unwrap_or_default(),
-            add_nodes: opt(v, "add_nodes")?.unwrap_or_default(),
-            remove_edges: opt(v, "remove_edges")?.unwrap_or_default(),
-            add_edges: opt(v, "add_edges")?.unwrap_or_default(),
-            add_channels: opt(v, "add_channels")?.unwrap_or_default(),
-            set_ipt: opt(v, "set_ipt")?.unwrap_or_default(),
-            set_channel_edges: opt(v, "set_channel_edges")?.unwrap_or_default(),
-            set_channels: opt(v, "set_channels")?.unwrap_or_default(),
-            devices: opt(v, "devices")?,
-            source_rate: opt(v, "source_rate")?,
-        })
     }
 }
 
@@ -503,30 +481,5 @@ mod tests {
             negative.apply(&g),
             Err(DeltaError::InvalidResult(_))
         ));
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_every_field() {
-        let delta = GraphDelta {
-            remove_nodes: vec![1],
-            add_nodes: vec![Operator::new(50.0)],
-            remove_edges: vec![(0, 2)],
-            add_edges: vec![(0, 3)],
-            add_channels: vec![Channel::with_selectivity(8.0, 0.25)],
-            set_ipt: vec![(0, 10.0)],
-            set_channel_edges: vec![(1, 2)],
-            set_channels: vec![Channel::new(2.0)],
-            devices: Some(4),
-            source_rate: Some(5e3),
-        };
-        let text = serde_json::to_string(&delta).unwrap();
-        let back: GraphDelta = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, delta);
-
-        // The empty delta serializes to the empty object and back.
-        let text = serde_json::to_string(&GraphDelta::default()).unwrap();
-        assert_eq!(text, "{}");
-        let back: GraphDelta = serde_json::from_str(&text).unwrap();
-        assert!(back.is_empty());
     }
 }

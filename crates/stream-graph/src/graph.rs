@@ -102,6 +102,8 @@ pub enum GraphError {
     Cycle,
     /// The graph has no nodes.
     Empty,
+    /// The channel list is not parallel to the edge list.
+    ChannelCount { edges: usize, channels: usize },
 }
 
 impl fmt::Display for GraphError {
@@ -119,6 +121,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::Cycle => write!(f, "graph contains a directed cycle"),
             GraphError::Empty => write!(f, "graph has no nodes"),
+            GraphError::ChannelCount { edges, channels } => {
+                write!(f, "{channels} channels for {edges} edges")
+            }
         }
     }
 }
@@ -227,17 +232,19 @@ pub struct StreamGraph {
 }
 
 impl StreamGraph {
-    /// Build from raw parts, validating DAG-ness and edge uniqueness.
+    /// Build from raw parts, validating DAG-ness, edge uniqueness and one
+    /// channel per edge.
     pub fn from_parts(
         ops: Vec<Operator>,
         edges: Vec<(u32, u32)>,
         channels: Vec<Channel>,
     ) -> Result<Self, GraphError> {
-        assert_eq!(
-            edges.len(),
-            channels.len(),
-            "edges/channels length mismatch"
-        );
+        if edges.len() != channels.len() {
+            return Err(GraphError::ChannelCount {
+                edges: edges.len(),
+                channels: channels.len(),
+            });
+        }
         if ops.is_empty() {
             return Err(GraphError::Empty);
         }
@@ -498,6 +505,19 @@ mod tests {
         assert_eq!(
             StreamGraph::from_parts(vec![], vec![], vec![]),
             Err(GraphError::Empty)
+        );
+    }
+
+    #[test]
+    fn rejects_channel_count_mismatch() {
+        let ops = vec![Operator::new(1.0); 2];
+        let edges = vec![(0, 1)];
+        assert_eq!(
+            StreamGraph::from_parts(ops, edges, vec![]),
+            Err(GraphError::ChannelCount {
+                edges: 1,
+                channels: 0
+            })
         );
     }
 

@@ -35,7 +35,8 @@ pub enum DatasetError {
         detail: String,
     },
     /// A graph's structure is invalid (dangling endpoints, duplicate
-    /// edges, self-loops, cycles, empty).
+    /// edges, self-loops, cycles, empty, channel count not matching the
+    /// edge count).
     Graph {
         /// Index of the offending graph within the dataset.
         index: usize,
@@ -51,12 +52,11 @@ pub enum DatasetError {
         /// What is wrong with it.
         detail: String,
     },
-    /// A channel carries an invalid numeric field, or the channel list
-    /// does not line up with the edge list.
+    /// A channel carries an invalid numeric field.
     InvalidChannel {
         /// Index of the offending graph.
         graph: usize,
-        /// Edge index of the channel (edge count for a length mismatch).
+        /// Edge index of the channel.
         edge: usize,
         /// What is wrong with it.
         detail: String,
@@ -125,11 +125,13 @@ impl std::error::Error for DatasetError {
 /// Why a single graph failed validation. Shared by [`Dataset`] loading
 /// and the serving wire format ([`crate::wire`]) — anything that accepts
 /// a graph from outside the process funnels it through
-/// [`validate_graph`].
+/// [`validate_graph`] or, when it has just built the graph itself,
+/// [`validate_numbers`].
 #[derive(Debug)]
 pub enum GraphValidationError {
     /// Structural rejection from [`StreamGraph::from_parts`] (dangling
-    /// endpoints, duplicate edges, self-loops, cycles, empty graph).
+    /// endpoints, duplicate edges, self-loops, cycles, empty graph,
+    /// mismatched channel count).
     Structure(GraphError),
     /// An operator carries an invalid numeric field.
     Operator {
@@ -138,10 +140,9 @@ pub enum GraphValidationError {
         /// What is wrong with it.
         detail: String,
     },
-    /// A channel carries an invalid numeric field, or the channel list
-    /// does not line up with the edge list.
+    /// A channel carries an invalid numeric field.
     Channel {
-        /// Edge index of the channel (edge count for a length mismatch).
+        /// Edge index of the channel.
         edge: usize,
         /// What is wrong with it.
         detail: String,
@@ -171,11 +172,26 @@ impl std::error::Error for GraphValidationError {
     }
 }
 
-/// Validate one externally-supplied graph: numeric fields must be finite
-/// with the right sign, and the derived structure (adjacency,
-/// topological order) is rebuilt from the raw parts through the
-/// validating constructor — never trusted from the input.
+/// Validate one externally-supplied graph whose derived structure came
+/// from outside (a dataset file): the numeric checks of
+/// [`validate_numbers`], then a rebuild of the adjacency and topological
+/// order from the raw parts through the validating constructor — never
+/// trusted from the input. A graph just built by
+/// [`StreamGraph::from_parts`] needs only [`validate_numbers`].
 pub fn validate_graph(graph: &StreamGraph) -> Result<StreamGraph, GraphValidationError> {
+    validate_numbers(graph)?;
+    StreamGraph::from_parts(
+        graph.ops().to_vec(),
+        graph.edge_list().to_vec(),
+        graph.channels().to_vec(),
+    )
+    .map_err(GraphValidationError::Structure)
+}
+
+/// Numeric validation of an externally-supplied graph: every operator
+/// cost, channel payload and selectivity must be finite and
+/// non-negative.
+pub fn validate_numbers(graph: &StreamGraph) -> Result<(), GraphValidationError> {
     for (ni, op) in graph.ops().iter().enumerate() {
         if !(op.ipt.is_finite() && op.ipt >= 0.0) {
             return Err(GraphValidationError::Operator {
@@ -183,16 +199,6 @@ pub fn validate_graph(graph: &StreamGraph) -> Result<StreamGraph, GraphValidatio
                 detail: format!("instructions per tuple {}", op.ipt),
             });
         }
-    }
-    if graph.channels().len() != graph.edge_list().len() {
-        return Err(GraphValidationError::Channel {
-            edge: graph.edge_list().len(),
-            detail: format!(
-                "{} channels for {} edges",
-                graph.channels().len(),
-                graph.edge_list().len()
-            ),
-        });
     }
     for (ei, ch) in graph.channels().iter().enumerate() {
         if !(ch.payload.is_finite() && ch.payload >= 0.0) {
@@ -208,12 +214,7 @@ pub fn validate_graph(graph: &StreamGraph) -> Result<StreamGraph, GraphValidatio
             });
         }
     }
-    StreamGraph::from_parts(
-        graph.ops().to_vec(),
-        graph.edge_list().to_vec(),
-        graph.channels().to_vec(),
-    )
-    .map_err(GraphValidationError::Structure)
+    Ok(())
 }
 
 /// A persisted dataset: graphs plus the environment they were generated for.

@@ -11,6 +11,8 @@ cargo test -q
 # spg-nn's own tests: the kernels' unit tests (matmul, quantized, tanh)
 # and crates/nn/tests/*, which the root-package run above does not reach.
 cargo test -q -p spg-nn
+# spg-graph's own tests: the wire, delta, serialize and graph unit tests.
+cargo test -q -p spg-graph
 
 # End-to-end smoke: generate -> train (with telemetry) -> report on a tiny
 # dataset, exercising the CLI surface and the JSONL metrics pipeline.

@@ -177,11 +177,42 @@ fn malformed_input_gets_named_error_and_connection_survives() {
         panic!("valid request after errors must succeed")
     };
     assert_eq!(a.id, "ok");
+
+    // Two lines that once ended the server process: an edge without a
+    // channel, and an unknown field nested far past any sane depth.
+    let deep = 200_000;
+    let lines = [
+        (
+            r#"{"id":"y","graph":{"ops":[{"ipt":1.0},{"ipt":1.0}],"edges":[[0,1]],"channels":[]}}"#
+                .to_string(),
+            "invalid-graph",
+        ),
+        (
+            format!(
+                r#"{{"id":"z","graph":{{"ops":[{{"ipt":1.0}}],"edges":[],"channels":[]}},"x":{}{}}}"#,
+                "[".repeat(deep),
+                "]".repeat(deep)
+            ),
+            "bad-request",
+        ),
+    ];
+    for (i, (line, code)) in lines.iter().enumerate() {
+        client.send_line(line);
+        let WireResponse::Err(e) = client.read_response() else {
+            panic!("line {i} must produce an error response")
+        };
+        assert_eq!(e.error, *code, "line {i}: {}", e.detail);
+        client.send_line(&alloc_request("again", &g).to_line());
+        let WireResponse::Ok(a) = client.read_response() else {
+            panic!("valid request after line {i} must succeed")
+        };
+        assert_eq!(a.id, "again");
+    }
     client.shutdown();
 
     let report = handle.join().expect("server thread");
-    assert_eq!(report.responses, 1);
-    assert_eq!(report.errors, 2, "both protocol errors must be counted");
+    assert_eq!(report.responses, 3);
+    assert_eq!(report.errors, 4, "every protocol error must be counted");
 }
 
 #[test]
