@@ -13,8 +13,9 @@
 //!
 //! [`Checkpoint::save`] is atomic: the JSON goes to `<path>.tmp`, is
 //! flushed and fsynced, and only then renamed over `path`. A crash at any
-//! point — including the injectable kill-point between write and rename —
-//! leaves the previous checkpoint intact and loadable.
+//! point — including the kill-point between write and rename that a
+//! [`CheckpointManager`] snapshot can inject — leaves the previous
+//! checkpoint intact and loadable.
 
 use crate::config::CoarsenConfig;
 use crate::model::CoarsenModel;
@@ -22,10 +23,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 use spg_nn::Matrix;
+use spg_sim::inject::{Fault, FaultInjector, Site};
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version written into every checkpoint; bump on breaking format changes.
 pub const CHECKPOINT_VERSION: u64 = 2;
@@ -144,10 +145,6 @@ impl Deserialize for Checkpoint {
     }
 }
 
-/// Per-process counter of save attempts, used as the injection key of
-/// [`spg_sim::inject::Site::CheckpointSave`].
-static SAVE_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
-
 impl Checkpoint {
     /// Snapshot a model (no trainer state).
     pub fn from_model(model: &CoarsenModel) -> Self {
@@ -181,9 +178,15 @@ impl Checkpoint {
 
     /// Write JSON to `path` atomically: temp file, flush + fsync, rename.
     /// If the process dies anywhere before the rename (exercised through
-    /// the `CheckpointSave` injection site), the previous file at `path`
-    /// is untouched.
+    /// the `CheckpointSave` injection site of [`CheckpointManager`]), the
+    /// previous file at `path` is untouched.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        self.write_atomic(path, false)
+    }
+
+    /// [`Self::save`], optionally simulating a crash between the temp
+    /// write and the rename.
+    fn write_atomic(&self, path: &Path, crash_before_rename: bool) -> std::io::Result<()> {
         let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
         let tmp = Self::temp_path(path);
         {
@@ -191,12 +194,9 @@ impl Checkpoint {
             f.write_all(json.as_bytes())?;
             f.sync_all()?;
         }
-        let attempt = SAVE_ATTEMPTS.fetch_add(1, Ordering::Relaxed);
-        if let Some(spg_sim::inject::Fault::Kill) =
-            spg_sim::inject::at(spg_sim::inject::Site::CheckpointSave, attempt)
-        {
-            // Simulated crash between temp write and rename: stop here,
-            // leaving the temp file behind exactly as a real crash would.
+        if crash_before_rename {
+            // Stop here, leaving the temp file behind exactly as a real
+            // crash would.
             return Err(std::io::Error::other(format!(
                 "injected crash during checkpoint save of {} \
                  (temp file written, rename skipped)",
@@ -288,6 +288,10 @@ pub struct CheckpointManager {
     base: PathBuf,
     every: usize,
     keep: usize,
+    /// The trainer's fault plan, consulted at [`Site::CheckpointSave`]
+    /// with the snapshot's epoch as key (empty unless set by
+    /// [`crate::reinforce::ReinforceTrainer::checkpoint_manager`]).
+    pub(crate) faults: FaultInjector,
 }
 
 impl CheckpointManager {
@@ -298,6 +302,7 @@ impl CheckpointManager {
             base: base.into(),
             every,
             keep: keep.max(1),
+            faults: FaultInjector::default(),
         }
     }
 
@@ -324,7 +329,8 @@ impl CheckpointManager {
             return Ok(None);
         }
         let path = self.snapshot_path(epoch);
-        ckpt.save(&path)?;
+        let kill = self.faults.decide(Site::CheckpointSave, epoch) == Some(Fault::Kill);
+        ckpt.write_atomic(&path, kill)?;
         self.prune()?;
         Ok(Some(path))
     }
@@ -527,26 +533,19 @@ mod tests {
 
     #[test]
     fn interrupted_save_leaves_previous_checkpoint_intact() {
-        let _serial = spg_sim::inject::test_serial();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let old = Checkpoint::from_model(&CoarsenModel::new(CoarsenConfig::default(), &mut rng));
         let new = Checkpoint::from_model(&CoarsenModel::new(CoarsenConfig::default(), &mut rng));
         let dir = tmp_dir("interrupted");
-        let path = dir.join("ckpt.json");
+        let mut mgr = CheckpointManager::new(dir.join("ckpt.json"), 1, 3);
+        let path = mgr.snapshot_path(1);
         old.save(&path).unwrap();
         let old_bytes = std::fs::read(&path).unwrap();
-        drop(_serial);
 
-        // Crash every save attempt between temp write and rename.
-        {
-            let _g = spg_sim::inject::armed(spg_sim::inject::FaultInjector::new(0).at(
-                spg_sim::inject::Site::CheckpointSave,
-                spg_sim::inject::ANY_KEY,
-                spg_sim::inject::Fault::Kill,
-            ));
-            let err = new.save(&path).unwrap_err().to_string();
-            assert!(err.contains("injected crash"), "got: {err}");
-        }
+        // Crash the epoch-1 snapshot between temp write and rename.
+        mgr.faults = FaultInjector::new(0).at(Site::CheckpointSave, 1, Fault::Kill);
+        let err = mgr.maybe_save(&new, 1).unwrap_err().to_string();
+        assert!(err.contains("injected crash"), "got: {err}");
 
         // The previous checkpoint is untouched and loadable; the torn
         // temp file is present (as after a real crash) but ignored.

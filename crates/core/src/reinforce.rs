@@ -26,6 +26,7 @@ use rand_chacha::ChaCha8Rng;
 use spg_graph::{ClusterSpec, GraphFeatures, Placement, StreamGraph, TupleRates};
 use spg_nn::{Adam, Matrix, Tape};
 use spg_obs::{probe, ProbeSnapshot, TelemetrySink};
+use spg_sim::inject::{self, Fault, FaultInjector, Site};
 use std::time::Instant;
 
 /// Trainer options.
@@ -69,6 +70,9 @@ pub struct TrainOptions {
     pub checkpoint_every: usize,
     /// How many periodic snapshots to retain (keep-last-K).
     pub checkpoint_keep: usize,
+    /// Faults to inject into this run's rollouts and periodic snapshots
+    /// (empty by default; see [`spg_sim::inject`]).
+    pub faults: FaultInjector,
 }
 
 impl Default for TrainOptions {
@@ -85,6 +89,7 @@ impl Default for TrainOptions {
             fault_policy: FaultPolicy::default(),
             checkpoint_every: 0,
             checkpoint_keep: 3,
+            faults: FaultInjector::default(),
         }
     }
 }
@@ -168,6 +173,12 @@ impl TrainOptions {
     /// Set the number of periodic snapshots to retain.
     pub fn checkpoint_keep(mut self, n: usize) -> Self {
         self.checkpoint_keep = n;
+        self
+    }
+
+    /// Set the fault plan injected into this run.
+    pub fn faults(mut self, plan: FaultInjector) -> Self {
+        self.faults = plan;
         self
     }
 }
@@ -520,15 +531,18 @@ impl<P: CoarsePlacer> ReinforceTrainer<P> {
     }
 
     /// Periodic-snapshot manager for this trainer's options
-    /// (`checkpoint_every` / `checkpoint_keep`), writing snapshots next
-    /// to `base`. Call [`CheckpointManager::maybe_save`] with
-    /// [`Self::checkpoint`] after each epoch.
+    /// (`checkpoint_every` / `checkpoint_keep`, and the fault plan for
+    /// [`Site::CheckpointSave`]), writing snapshots next to `base`. Call
+    /// [`CheckpointManager::maybe_save`] with [`Self::checkpoint`] after
+    /// each epoch.
     pub fn checkpoint_manager(&self, base: impl Into<std::path::PathBuf>) -> CheckpointManager {
-        CheckpointManager::new(
+        let mut manager = CheckpointManager::new(
             base,
             self.options.checkpoint_every,
             self.options.checkpoint_keep,
-        )
+        );
+        manager.faults = self.options.faults.clone();
+        manager
     }
 
     /// Restore a [`Self::checkpoint`] into this trainer: parameters, Adam
@@ -624,17 +638,6 @@ struct EpochSnapshot {
     adam_t: u64,
     rng: ChaCha8Rng,
     buffers: Vec<Vec<BufferedSample>>,
-}
-
-/// Restores the previous thread-local injection context on drop, even
-/// when the guarded rollout unwinds (so a caught panic cannot leak a
-/// stale context key into later simulator calls on this thread).
-struct InjectContextGuard(u64);
-
-impl Drop for InjectContextGuard {
-    fn drop(&mut self) {
-        spg_sim::inject::set_context(self.0);
-    }
 }
 
 /// Per-epoch metric accumulators, only filled while a telemetry sink is
@@ -965,19 +968,20 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
             // Workers read one cache snapshot for the whole batch;
             // misses are inserted afterwards in sample order.
             let cache = self.cache.graph(gi);
+            let faults = &opts.faults;
             // Worker panics are caught per sample, so one poisoned rollout
             // degrades to one `Err` slot instead of killing the epoch.
             rollout::run_ordered_catching(opts.effective_workers(), seeds.len(), |i| {
                 let t0 = timed.then(Instant::now);
-                let inject_key = spg_sim::inject::rollout_key(epoch, gi, i);
-                let injected = spg_sim::inject::at(spg_sim::inject::Site::Rollout, inject_key);
-                if injected == Some(spg_sim::inject::Fault::WorkerPanic) {
+                let inject_key = inject::rollout_key(epoch, gi, i);
+                let injected = faults.decide(Site::Rollout, inject_key);
+                if injected == Some(Fault::WorkerPanic) {
                     panic!("injected worker panic (epoch {epoch}, graph {gi}, sample {i})");
                 }
                 let mut rng = ChaCha8Rng::seed_from_u64(seeds[i]);
                 let decisions = policy.decode(probs, DecodeMode::Sample, &mut rng);
                 let key = rollout::collapse_key(priority, &decisions);
-                let outcome = if injected == Some(spg_sim::inject::Fault::NanReward) {
+                let outcome = if injected == Some(Fault::NanReward) {
                     RolloutOutcome {
                         decisions,
                         key,
@@ -993,10 +997,11 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
                             cached: true,
                         },
                         None => {
-                            // Give simulator-site injection a stable
-                            // per-sample identity for the duration of the
-                            // reward computation.
-                            let ctx = InjectContextGuard(spg_sim::inject::set_context(inject_key));
+                            if let Some(Fault::SimError) =
+                                faults.decide(Site::Simulator, inject_key)
+                            {
+                                panic!("injected simulator error (key {inject_key})");
+                            }
                             let reward = rollout_reward(
                                 policy,
                                 &inst.graph,
@@ -1006,7 +1011,6 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
                                 probs,
                                 placer,
                             );
-                            drop(ctx);
                             RolloutOutcome {
                                 decisions,
                                 key,

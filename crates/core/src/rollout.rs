@@ -228,10 +228,6 @@ mod tests {
 
     #[test]
     fn run_ordered_catching_isolates_panics_per_job() {
-        // Suppress the default panic hook's stderr spam for the
-        // intentional panics below.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let f = |i: usize| {
             if i.is_multiple_of(3) {
                 panic!("boom at {i}");
@@ -240,7 +236,6 @@ mod tests {
         };
         let seq = run_ordered_catching(1, 10, f);
         let par = run_ordered_catching(4, 10, f);
-        std::panic::set_hook(prev);
         assert_eq!(seq, par, "panic isolation must stay scheduling-invariant");
         assert_eq!(seq[0], Err("boom at 0".to_string()));
         assert_eq!(seq[1], Ok(10));

@@ -40,14 +40,14 @@ use spg_graph::{
 };
 use spg_obs::TelemetrySink;
 use spg_partition::{realloc_decide, IncrementalConfig, ReallocDecision};
-use spg_sim::inject;
+use spg_sim::inject::{self, Fault, Site};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// How long an injected [`inject::Fault::Stall`] parks the replica —
+/// How long an injected [`Fault::Stall`] parks the replica —
 /// long enough to build observable queue depth, short enough for tests.
 const INJECTED_STALL: Duration = Duration::from_millis(400);
 
@@ -290,20 +290,20 @@ fn replica_loop(
         let mut todo: Vec<Job> = Vec::with_capacity(jobs.len());
         let mut reallocs: Vec<Job> = Vec::new();
         for job in jobs {
-            match inject::at(
-                inject::Site::ReplicaWork,
+            match cfg.faults.decide(
+                Site::ReplicaWork,
                 inject::replica_key(job.fingerprint, generation),
             ) {
                 // An unguarded panic: the incarnation dies and the
                 // supervisor answers the flight ledger.
-                Some(inject::Fault::Kill) => {
+                Some(Fault::Kill) => {
                     panic!("injected replica kill (shard {shard})")
                 }
-                Some(inject::Fault::Stall) => std::thread::sleep(INJECTED_STALL),
+                Some(Fault::Stall) => std::thread::sleep(INJECTED_STALL),
                 // A panic through the same catch_unwind isolation an
                 // organic per-request panic gets: this request fails
                 // alone, the incarnation lives.
-                Some(inject::Fault::WorkerPanic) => {
+                Some(Fault::WorkerPanic) => {
                     let _ = std::panic::catch_unwind(|| {
                         panic!("injected worker panic (shard {shard})")
                     });

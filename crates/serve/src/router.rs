@@ -29,7 +29,7 @@ use crate::server::ServeConfig;
 use spg_graph::wire::{parse_request, WireRequest};
 use spg_graph::ClusterSpec;
 use spg_obs::TelemetrySink;
-use spg_sim::inject;
+use spg_sim::inject::{Fault, Site};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -421,19 +421,19 @@ pub(crate) fn io_loop(
         }
 
         // Write pass: opportunistic — anything queued this iteration
-        // usually leaves in the same iteration. The injector can tear a
-        // connection here: the decision is pure in the connection id,
+        // usually leaves in the same iteration. The fault plan can tear
+        // a connection here: the decision is pure in the connection id,
         // so a connection destined to fail fails at its first write.
         for (&id, conn) in conns.iter_mut() {
             if conn.dead || conn.flushed() {
                 continue;
             }
-            match inject::at(inject::Site::ConnWrite, id) {
-                Some(inject::Fault::ConnDrop) => {
+            match cfg.faults.decide(Site::ConnWrite, id) {
+                Some(Fault::ConnDrop) => {
                     sink.counter("serve.fault.conns_dropped", 1);
                     conn.dead = true;
                 }
-                Some(inject::Fault::TornWrite) => {
+                Some(Fault::TornWrite) => {
                     // Half the pending bytes go out, then the socket
                     // dies: the client sees a torn line, never a hang.
                     sink.counter("serve.fault.torn_writes", 1);

@@ -38,6 +38,7 @@ use spg_core::checkpoint::Checkpoint;
 use spg_core::rollout;
 use spg_graph::ClusterSpec;
 use spg_obs::TelemetrySink;
+use spg_sim::inject::FaultInjector;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc;
@@ -130,6 +131,9 @@ pub struct ServeConfig {
     /// Inference precision; [`Precision::Int8`] is opt-in and folds a
     /// precision tag into every cache fingerprint.
     pub precision: Precision,
+    /// Faults to inject into this server's replicas and connection
+    /// writes (see [`spg_sim::inject`]); empty by default.
+    pub faults: FaultInjector,
 }
 
 impl Default for ServeConfig {
@@ -145,6 +149,7 @@ impl Default for ServeConfig {
             seed: 7,
             shed_watermark: 0,
             precision: Precision::F32,
+            faults: FaultInjector::default(),
         }
     }
 }
@@ -255,6 +260,12 @@ impl ServeConfigBuilder {
     /// opt-in).
     pub fn precision(mut self, precision: Precision) -> Self {
         self.cfg.precision = precision;
+        self
+    }
+
+    /// Fault plan injected into the replicas and connection writes.
+    pub fn faults(mut self, plan: FaultInjector) -> Self {
+        self.cfg.faults = plan;
         self
     }
 
@@ -454,6 +465,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spg_sim::inject::{Fault, Site, ANY_KEY};
 
     #[test]
     fn builder_defaults_match_default() {
@@ -471,6 +483,7 @@ mod tests {
         assert_eq!(built.shed_watermark, 0, "shedding must default off");
         assert_eq!(built.precision, default.precision);
         assert_eq!(built.precision, Precision::F32, "int8 must be opt-in");
+        assert!(built.faults.is_empty() && default.faults.is_empty());
     }
 
     #[test]
@@ -486,6 +499,7 @@ mod tests {
             .seed(42)
             .shed_watermark(32)
             .precision(Precision::Int8)
+            .faults(FaultInjector::new(0).at(Site::ConnWrite, ANY_KEY, Fault::ConnDrop))
             .build()
             .unwrap();
         assert_eq!(cfg.addr, "0.0.0.0:9000");
@@ -498,6 +512,7 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.shed_watermark, 32);
         assert_eq!(cfg.precision, Precision::Int8);
+        assert_eq!(cfg.faults.decide(Site::ConnWrite, 3), Some(Fault::ConnDrop));
     }
 
     #[test]

@@ -123,24 +123,6 @@ pub fn simulate_with_rates(
     placement: &Placement,
     rates: &TupleRates,
 ) -> SimResult {
-    match crate::inject::at(crate::inject::Site::Simulator, crate::inject::context_key()) {
-        Some(crate::inject::Fault::SimError) => panic!(
-            "injected simulator error (analytic, key {})",
-            crate::inject::context_key()
-        ),
-        Some(crate::inject::Fault::NanReward) => {
-            return SimResult {
-                throughput: f64::NAN,
-                relative: f64::NAN,
-                bottleneck: Bottleneck::None,
-                cpu_load: Vec::new(),
-                egress: Vec::new(),
-                ingress: Vec::new(),
-                link_traffic: HashMap::new(),
-            };
-        }
-        _ => {}
-    }
     spg_obs::probe::SIM_ANALYTIC.time(|| simulate_with_rates_impl(graph, cluster, placement, rates))
 }
 

@@ -108,14 +108,6 @@ pub fn simulate_des(
     source_rate: f64,
     cfg: &DesConfig,
 ) -> DesResult {
-    if let Some(crate::inject::Fault::SimError) =
-        crate::inject::at(crate::inject::Site::Simulator, crate::inject::context_key())
-    {
-        panic!(
-            "injected simulator error (des, key {})",
-            crate::inject::context_key()
-        );
-    }
     spg_obs::probe::SIM_DES.time(|| simulate_des_impl(graph, cluster, placement, source_rate, cfg))
 }
 

@@ -8,23 +8,22 @@
 //! how many rollout workers run, which keeps the fault-tolerance tests
 //! deterministic.
 //!
-//! The injector is process-global but disarmed by default: the fast path is
-//! a single relaxed atomic load, so production runs pay essentially nothing.
-//! Tests arm it through [`armed`], which also holds a process-wide lock so
-//! concurrently running `#[test]`s cannot observe each other's faults.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! A plan is a plain value owned by the run it targets: the trainer reads
+//! it from `TrainOptions::faults`, the server from `ServeConfig::faults`,
+//! and each site asks [`FaultInjector::decide`]. The default plan is empty
+//! and never fires, and two runs in one process never see each other's
+//! faults.
 
 /// Where in the runtime a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
     /// Per-sample rollout work inside the trainer's rollout engine.
     Rollout,
-    /// Inside a simulator evaluation (analytic or discrete-time).
+    /// The trainer's reward evaluation, checked on a reward-cache miss
+    /// just before the sample is simulated, keyed by [`rollout_key`].
     Simulator,
-    /// Between a checkpoint's temp-file write and its atomic rename.
+    /// Between a periodic snapshot's temp-file write and its atomic
+    /// rename, keyed by the snapshot's epoch.
     CheckpointSave,
     /// Per-request work inside a serving replica, keyed by
     /// [`replica_key`] (request fingerprint × replica incarnation).
@@ -53,7 +52,8 @@ pub enum Fault {
     NanReward,
     /// Panic inside the worker (exercises panic isolation).
     WorkerPanic,
-    /// Fail the simulator itself (manifests as a panic in the caller).
+    /// Fail the reward's simulation (manifests as a panic in the rollout
+    /// worker).
     SimError,
     /// Simulate a crash: the operation stops before completing.
     Kill,
@@ -84,12 +84,9 @@ impl Fault {
 /// Plan-entry key that matches every key at its site.
 pub const ANY_KEY: u64 = u64::MAX;
 
-/// Key used for sites reached without a caller-provided context (e.g. a
-/// simulator call outside training). Rate-based injection skips it.
-pub const NO_CONTEXT: u64 = u64::MAX - 1;
-
 /// A seed-driven fault plan. Build with the fluent [`Self::at`] /
-/// [`Self::rate`] and activate with [`arm`] or [`armed`].
+/// [`Self::rate`] and hand it to the run it targets; the default plan is
+/// empty.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     seed: u64,
@@ -116,30 +113,31 @@ impl FaultInjector {
 
     /// Inject `fault` at `site` with probability `p`, decided by hashing
     /// `(seed, site, fault, key)` — scheduling-independent, so the same
-    /// keys fault on every run with the same seed.
+    /// keys fault on every run with the same seed. A `p` that is not
+    /// positive adds nothing.
     pub fn rate(mut self, site: Site, fault: Fault, p: f64) -> Self {
-        self.rates.push((site, fault, p));
+        if p > 0.0 {
+            self.rates.push((site, fault, p));
+        }
         self
     }
 
     /// True if the plan can never fire.
     pub fn is_empty(&self) -> bool {
-        self.plan.is_empty() && self.rates.iter().all(|(_, _, p)| *p <= 0.0)
+        self.plan.is_empty() && self.rates.is_empty()
     }
 
-    fn decide(&self, site: Site, key: u64) -> Option<Fault> {
+    /// Should a fault fire at `site` for `key`? Pinned entries win, in
+    /// the order they were added; then each rate is rolled. `None` for
+    /// the empty plan.
+    pub fn decide(&self, site: Site, key: u64) -> Option<Fault> {
         for (s, k, f) in &self.plan {
             if *s == site && (*k == ANY_KEY || *k == key) {
                 return Some(*f);
             }
         }
-        if key == NO_CONTEXT {
-            // No stable identity to hash: a rate roll here would fault
-            // either every call or none, so skip rate-based injection.
-            return None;
-        }
         for (s, f, p) in &self.rates {
-            if *s == site && *p > 0.0 {
+            if *s == site {
                 let h = splitmix64(
                     self.seed
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -165,93 +163,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-static INJECTOR_ARMED: AtomicBool = AtomicBool::new(false);
-
-fn injector() -> &'static Mutex<Option<FaultInjector>> {
-    static G: OnceLock<Mutex<Option<FaultInjector>>> = OnceLock::new();
-    G.get_or_init(|| Mutex::new(None))
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Injected panics unwind through guard scopes; the plan itself is
-    // never left half-written, so poisoning carries no information here.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Install and activate a process-wide fault plan.
-pub fn arm(plan: FaultInjector) {
-    *lock_unpoisoned(injector()) = Some(plan);
-    INJECTOR_ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Deactivate fault injection.
-pub fn disarm() {
-    INJECTOR_ARMED.store(false, Ordering::SeqCst);
-    *lock_unpoisoned(injector()) = None;
-}
-
-/// Should a fault fire at `site` for `key`? `None` unless armed and the
-/// plan matches. This is the hook sites call; the disarmed fast path is a
-/// single relaxed atomic load.
-pub fn at(site: Site, key: u64) -> Option<Fault> {
-    if !INJECTOR_ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    lock_unpoisoned(injector())
-        .as_ref()
-        .and_then(|i| i.decide(site, key))
-}
-
-/// RAII guard from [`armed`]: disarms (and releases the test serialisation
-/// lock) on drop.
-pub struct ArmedGuard {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Drop for ArmedGuard {
-    fn drop(&mut self) {
-        disarm();
-    }
-}
-
-/// Arm `plan` for the lifetime of the returned guard, serialising against
-/// every other [`armed`] caller in the process. Tests that inject faults
-/// MUST use this (or [`test_serial`]) so cargo's parallel test threads do
-/// not leak faults into each other.
-pub fn armed(plan: FaultInjector) -> ArmedGuard {
-    let serial = test_serial();
-    arm(plan);
-    ArmedGuard { _serial: serial }
-}
-
-/// The process-wide serialisation lock used by [`armed`]; tests that must
-/// run with injection *disabled* while other tests inject can hold it too.
-pub fn test_serial() -> MutexGuard<'static, ()> {
-    static L: OnceLock<Mutex<()>> = OnceLock::new();
-    lock_unpoisoned(L.get_or_init(|| Mutex::new(())))
-}
-
-thread_local! {
-    static CONTEXT_KEY: Cell<u64> = const { Cell::new(NO_CONTEXT) };
-}
-
-/// Set this thread's injection context key (e.g. the rollout key of the
-/// sample being evaluated) so keyless sites like [`Site::Simulator`]
-/// inherit a stable identity. Returns the previous key.
-pub fn set_context(key: u64) -> u64 {
-    CONTEXT_KEY.with(|c| c.replace(key))
-}
-
-/// Clear this thread's injection context key.
-pub fn clear_context() {
-    CONTEXT_KEY.with(|c| c.set(NO_CONTEXT));
-}
-
-/// This thread's injection context key ([`NO_CONTEXT`] if unset).
-pub fn context_key() -> u64 {
-    CONTEXT_KEY.with(Cell::get)
-}
-
 /// Stable key for "epoch `epoch`, graph `graph`, sample `sample`" rollout
 /// work: 24 bits of epoch, 20 of graph, 20 of sample.
 pub fn rollout_key(epoch: u64, graph: usize, sample: usize) -> u64 {
@@ -272,9 +183,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_injector_never_fires() {
-        let _serial = test_serial();
-        assert_eq!(at(Site::Rollout, 7), None);
+    fn empty_plan_never_fires() {
+        assert_eq!(FaultInjector::default().decide(Site::Rollout, 7), None);
+        // A zero rate (an unset `--inject-*` flag) leaves the plan empty.
+        let zero = FaultInjector::new(3).rate(Site::Rollout, Fault::NanReward, 0.0);
+        assert!(zero.is_empty());
+        assert_eq!(zero.decide(Site::Rollout, 7), None);
     }
 
     #[test]
@@ -282,12 +196,11 @@ mod tests {
         let plan = FaultInjector::new(0)
             .at(Site::Rollout, 3, Fault::NanReward)
             .at(Site::CheckpointSave, ANY_KEY, Fault::Kill);
-        let _g = armed(plan);
-        assert_eq!(at(Site::Rollout, 3), Some(Fault::NanReward));
-        assert_eq!(at(Site::Rollout, 4), None);
-        assert_eq!(at(Site::CheckpointSave, 0), Some(Fault::Kill));
-        assert_eq!(at(Site::CheckpointSave, 99), Some(Fault::Kill));
-        assert_eq!(at(Site::Simulator, 3), None);
+        assert_eq!(plan.decide(Site::Rollout, 3), Some(Fault::NanReward));
+        assert_eq!(plan.decide(Site::Rollout, 4), None);
+        assert_eq!(plan.decide(Site::CheckpointSave, 0), Some(Fault::Kill));
+        assert_eq!(plan.decide(Site::CheckpointSave, 99), Some(Fault::Kill));
+        assert_eq!(plan.decide(Site::Simulator, 3), None);
     }
 
     #[test]
@@ -305,19 +218,6 @@ mod tests {
         // A different seed flips some decisions.
         let other = FaultInjector::new(12).rate(Site::Rollout, Fault::WorkerPanic, 0.25);
         assert!((0..4000).any(|k| inj.decide(Site::Rollout, k) != other.decide(Site::Rollout, k)));
-        // Rates never fire without a context identity.
-        assert_eq!(inj.decide(Site::Rollout, NO_CONTEXT), None);
-    }
-
-    #[test]
-    fn context_key_is_thread_local_and_restorable() {
-        let prev = set_context(42);
-        assert_eq!(prev, NO_CONTEXT);
-        assert_eq!(context_key(), 42);
-        let handle = std::thread::spawn(context_key);
-        assert_eq!(handle.join().unwrap(), NO_CONTEXT);
-        clear_context();
-        assert_eq!(context_key(), NO_CONTEXT);
     }
 
     #[test]
@@ -329,14 +229,16 @@ mod tests {
         assert_ne!(replica_key(0xdead_beef, 1), 0xdead_beef);
         assert_ne!(replica_key(0xdead_beef, 1), replica_key(0xdead_beef, 2));
         let plan = FaultInjector::new(0).at(Site::ReplicaWork, 0xdead_beef, Fault::Kill);
-        let _g = armed(plan);
         assert_eq!(
-            at(Site::ReplicaWork, replica_key(0xdead_beef, 0)),
+            plan.decide(Site::ReplicaWork, replica_key(0xdead_beef, 0)),
             Some(Fault::Kill)
         );
-        assert_eq!(at(Site::ReplicaWork, replica_key(0xdead_beef, 1)), None);
+        assert_eq!(
+            plan.decide(Site::ReplicaWork, replica_key(0xdead_beef, 1)),
+            None
+        );
         // Serve sites are distinct from training sites.
-        assert_eq!(at(Site::ConnWrite, 0xdead_beef), None);
+        assert_eq!(plan.decide(Site::ConnWrite, 0xdead_beef), None);
     }
 
     #[test]

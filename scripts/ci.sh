@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, release build, root-package tests.
+# Tier-1 gate: formatting, lints, release build, every workspace test.
 # Mirrors .github/workflows/ci.yml so it can run locally or in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,12 +7,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
+# The root manifest's default-members cover every crate, so this runs
+# the whole workspace's unit, integration and doc tests.
 cargo test -q
-# spg-nn's own tests: the kernels' unit tests (matmul, quantized, tanh)
-# and crates/nn/tests/*, which the root-package run above does not reach.
-cargo test -q -p spg-nn
-# spg-graph's own tests: the wire, delta, serialize and graph unit tests.
-cargo test -q -p spg-graph
 
 # End-to-end smoke: generate -> train (with telemetry) -> report on a tiny
 # dataset, exercising the CLI surface and the JSONL metrics pipeline.
@@ -27,7 +24,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "e2e smoke OK"
 
 # Fault-tolerance: a kill-and-resume smoke through the binary (the
-# injection/resume suite ran with the root-package tests above) — a run
+# injection/resume suite ran with the workspace tests above) — a run
 # killed after epoch 2 and resumed from its snapshot must produce a
 # checkpoint byte-identical to an uninterrupted 4-epoch run.
 "$SPG" train --dataset "$SMOKE_DIR/ds.json" --epochs 4 --seed 2 \
@@ -95,7 +92,7 @@ echo "serve smoke OK"
 
 # Quantized serving: an int8 serve → bench → drain smoke writing the
 # `q8` row the perf gate compares (the placement-agreement harness ran
-# with the root-package tests above). int8 is opt-in: everything above
+# with the workspace tests above). int8 is opt-in: everything above
 # ran the default f32 path.
 serve_smoke 1 4 int8
 echo "int8 serve smoke OK"

@@ -28,7 +28,7 @@ use spg::model::pipeline::MetisCoarsePlacer;
 use spg::model::{CoarsenAllocator, CoarsenConfig, CoarsenModel, ReinforceTrainer, TrainOptions};
 use spg::obs::{Summary, TelemetrySink};
 use spg::partition::MetisAllocator;
-use spg::sim::inject;
+use spg::sim::inject::{Fault, FaultInjector, Site};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -99,55 +99,27 @@ fn generate(args: GenerateArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Arm the process-global fault injector from the `--inject-*` rate
-/// flags. The returned guard keeps it armed for the duration of training.
-fn arm_injector(args: &TrainArgs) -> Option<inject::ArmedGuard> {
-    if args.inject_nan_rewards <= 0.0 && args.inject_worker_panics <= 0.0 {
-        return None;
-    }
-    let mut plan = inject::FaultInjector::new(args.seed);
-    if args.inject_nan_rewards > 0.0 {
-        plan = plan.rate(
-            inject::Site::Rollout,
-            inject::Fault::NanReward,
-            args.inject_nan_rewards,
-        );
-    }
-    if args.inject_worker_panics > 0.0 {
-        plan = plan.rate(
-            inject::Site::Rollout,
-            inject::Fault::WorkerPanic,
-            args.inject_worker_panics,
-        );
-    }
-    Some(inject::armed(plan))
+/// The fault plan of the `spg train --inject-*` rate flags (empty when
+/// none is set).
+fn train_faults(args: &TrainArgs) -> FaultInjector {
+    FaultInjector::new(args.seed)
+        .rate(Site::Rollout, Fault::NanReward, args.inject_nan_rewards)
+        .rate(Site::Rollout, Fault::WorkerPanic, args.inject_worker_panics)
 }
 
-/// Arm the process-global fault injector from the `spg serve --inject-*`
-/// rate flags. The returned guard keeps it armed while the server runs.
-fn arm_serve_injector(args: &ServeArgs) -> Option<inject::ArmedGuard> {
-    use inject::{Fault, Site};
-    let rates = [
-        (
+/// The fault plan of the `spg serve --inject-*` rate flags (empty when
+/// none is set).
+fn serve_faults(args: &ServeArgs) -> FaultInjector {
+    FaultInjector::new(args.seed)
+        .rate(
             Site::ReplicaWork,
             Fault::WorkerPanic,
             args.inject_replica_panics,
-        ),
-        (Site::ReplicaWork, Fault::Kill, args.inject_replica_kills),
-        (Site::ReplicaWork, Fault::Stall, args.inject_replica_stalls),
-        (Site::ConnWrite, Fault::ConnDrop, args.inject_conn_drops),
-        (Site::ConnWrite, Fault::TornWrite, args.inject_torn_writes),
-    ];
-    if rates.iter().all(|&(_, _, p)| p <= 0.0) {
-        return None;
-    }
-    let mut plan = inject::FaultInjector::new(args.seed);
-    for &(site, fault, p) in &rates {
-        if p > 0.0 {
-            plan = plan.rate(site, fault, p);
-        }
-    }
-    Some(inject::armed(plan))
+        )
+        .rate(Site::ReplicaWork, Fault::Kill, args.inject_replica_kills)
+        .rate(Site::ReplicaWork, Fault::Stall, args.inject_replica_stalls)
+        .rate(Site::ConnWrite, Fault::ConnDrop, args.inject_conn_drops)
+        .rate(Site::ConnWrite, Fault::TornWrite, args.inject_torn_writes)
 }
 
 fn train(args: TrainArgs) -> ExitCode {
@@ -165,7 +137,6 @@ fn train(args: TrainArgs) -> ExitCode {
         },
         None => TelemetrySink::disabled(),
     };
-    let _inject_guard = arm_injector(&args);
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
     let model = CoarsenModel::new(CoarsenConfig::default(), &mut rng);
     let mut options = TrainOptions::new()
@@ -173,7 +144,8 @@ fn train(args: TrainArgs) -> ExitCode {
         .seed(args.seed)
         .fault_policy(args.fault_policy)
         .checkpoint_every(args.checkpoint_every)
-        .checkpoint_keep(args.checkpoint_keep);
+        .checkpoint_keep(args.checkpoint_keep)
+        .faults(train_faults(&args));
     if let Some(workers) = args.workers {
         options = options.num_workers(workers);
     }
@@ -337,7 +309,6 @@ fn serve(args: ServeArgs) -> ExitCode {
         None => TelemetrySink::disabled(),
     };
     let spec = DatasetSpec::for_setting(args.setting);
-    let _inject_guard = arm_serve_injector(&args);
     let mut builder = spg::serve::ServeConfig::builder()
         .addr(args.addr.clone())
         .replicas(args.replicas)
@@ -347,7 +318,8 @@ fn serve(args: ServeArgs) -> ExitCode {
         .cache_capacity(args.cache)
         .shed_watermark(args.shed_watermark)
         .precision(args.precision)
-        .seed(args.seed);
+        .seed(args.seed)
+        .faults(serve_faults(&args));
     if let Some(workers) = args.workers {
         builder = builder.workers(workers);
     }

@@ -10,10 +10,18 @@ use spg::model::{
     Checkpoint, CoarsenConfig, CoarsenModel, FaultKind, FaultPolicy, ReinforceTrainer, ResumeError,
     TrainOptions, TrainStats,
 };
-use spg::sim::inject;
+use spg::sim::inject::{self, FaultInjector};
 use spg_core::fault::RecoveryAction;
 
 fn build_trainer(seed: u64, policy: FaultPolicy) -> ReinforceTrainer<MetisCoarsePlacer> {
+    build_faulty_trainer(seed, policy, FaultInjector::default())
+}
+
+fn build_faulty_trainer(
+    seed: u64,
+    policy: FaultPolicy,
+    faults: FaultInjector,
+) -> ReinforceTrainer<MetisCoarsePlacer> {
     let spec = DatasetSpec::scaled_down(Setting::Small);
     let graphs: Vec<_> = (0..4u64)
         .map(|s| spg::gen::generate_graph(&spec, 100 + s))
@@ -24,18 +32,13 @@ fn build_trainer(seed: u64, policy: FaultPolicy) -> ReinforceTrainer<MetisCoarse
         .graphs(graphs)
         .cluster(spec.cluster())
         .source_rate(spec.source_rate)
-        .options(TrainOptions::new().seed(seed).fault_policy(policy))
+        .options(
+            TrainOptions::new()
+                .seed(seed)
+                .fault_policy(policy)
+                .faults(faults),
+        )
         .build()
-}
-
-/// Run an intentionally-panicking closure with the default panic hook
-/// silenced, restoring it afterwards.
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
 }
 
 /// The tentpole guarantee: N epochs, a checkpoint, a process boundary
@@ -44,7 +47,6 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 /// checkpoint byte for byte — from 2N epochs straight through.
 #[test]
 fn resume_continues_bitwise_identically() {
-    let _serial = inject::test_serial();
     const N: usize = 3;
 
     let mut straight = build_trainer(11, FaultPolicy::Abort);
@@ -85,7 +87,6 @@ fn resume_continues_bitwise_identically() {
 
 #[test]
 fn resume_rejects_mismatched_runs() {
-    let _serial = inject::test_serial();
     let mut a = build_trainer(11, FaultPolicy::Abort);
     a.train_epoch();
     let ckpt = a.checkpoint();
@@ -110,23 +111,23 @@ fn resume_rejects_mismatched_runs() {
 
 #[test]
 fn skip_policy_drops_nan_rewards_and_keeps_training() {
-    let mut t = build_trainer(21, FaultPolicy::SkipSample);
-    {
-        let _g = inject::armed(inject::FaultInjector::new(7).rate(
-            inject::Site::Rollout,
-            inject::Fault::NanReward,
-            0.5,
-        ));
-        let stats = t.try_train_epoch().expect("skip policy must recover");
-        assert!(stats.steps > 0, "surviving samples must still train");
-        assert!(t.fault_stats().skipped_samples > 0);
-        assert!(t
-            .fault_log()
+    let mut t = build_faulty_trainer(
+        21,
+        FaultPolicy::SkipSample,
+        FaultInjector::new(7).rate(inject::Site::Rollout, inject::Fault::NanReward, 0.5),
+    );
+    let stats = t.try_train_epoch().expect("skip policy must recover");
+    assert!(stats.steps > 0, "surviving samples must still train");
+    assert!(t.fault_stats().skipped_samples > 0);
+    assert!(
+        t.fault_log()
             .iter()
             .any(|e| e.kind == FaultKind::NonFiniteReward
-                && e.action == RecoveryAction::SkippedSample));
-    }
-    // Disarmed: the next epoch is fault-free and the counters stand still.
+                && e.action == RecoveryAction::SkippedSample)
+    );
+    // Plan cleared: the next epoch is fault-free and the counters stand
+    // still.
+    t.options.faults = FaultInjector::default();
     let skipped = t.fault_stats().skipped_samples;
     t.try_train_epoch().unwrap();
     assert_eq!(t.fault_stats().skipped_samples, skipped);
@@ -134,13 +135,17 @@ fn skip_policy_drops_nan_rewards_and_keeps_training() {
 
 #[test]
 fn worker_panic_is_isolated_per_sample() {
-    let mut t = build_trainer(31, FaultPolicy::SkipSample);
-    let _g = inject::armed(inject::FaultInjector::new(0).at(
-        inject::Site::Rollout,
-        inject::rollout_key(0, 0, 0),
-        inject::Fault::WorkerPanic,
-    ));
-    let stats = quiet_panics(|| t.try_train_epoch())
+    let mut t = build_faulty_trainer(
+        31,
+        FaultPolicy::SkipSample,
+        FaultInjector::new(0).at(
+            inject::Site::Rollout,
+            inject::rollout_key(0, 0, 0),
+            inject::Fault::WorkerPanic,
+        ),
+    );
+    let stats = t
+        .try_train_epoch()
         .expect("a panicking worker must not take down the epoch under skip policy");
     assert_eq!(stats.steps, t.num_graphs(), "other samples carry the step");
     assert_eq!(t.fault_stats().skipped_samples, 1);
@@ -154,13 +159,17 @@ fn worker_panic_is_isolated_per_sample() {
 
 #[test]
 fn injected_simulator_error_is_contained() {
-    let mut t = build_trainer(61, FaultPolicy::SkipSample);
-    let _g = inject::armed(inject::FaultInjector::new(0).at(
-        inject::Site::Simulator,
-        inject::rollout_key(0, 0, 1),
-        inject::Fault::SimError,
-    ));
-    quiet_panics(|| t.try_train_epoch()).expect("simulator error must be contained");
+    let mut t = build_faulty_trainer(
+        61,
+        FaultPolicy::SkipSample,
+        FaultInjector::new(0).at(
+            inject::Site::Simulator,
+            inject::rollout_key(0, 0, 1),
+            inject::Fault::SimError,
+        ),
+    );
+    t.try_train_epoch()
+        .expect("simulator error must be contained");
     assert!(t.fault_log().iter().any(|e| {
         e.kind == FaultKind::WorkerPanic && e.detail.contains("injected simulator error")
     }));
@@ -168,12 +177,15 @@ fn injected_simulator_error_is_contained() {
 
 #[test]
 fn rollback_policy_restores_and_quarantines() {
-    let mut t = build_trainer(41, FaultPolicy::RollbackToSnapshot);
-    let _g = inject::armed(inject::FaultInjector::new(0).at(
-        inject::Site::Rollout,
-        inject::rollout_key(0, 1, 0),
-        inject::Fault::NanReward,
-    ));
+    let mut t = build_faulty_trainer(
+        41,
+        FaultPolicy::RollbackToSnapshot,
+        FaultInjector::new(0).at(
+            inject::Site::Rollout,
+            inject::rollout_key(0, 1, 0),
+            inject::Fault::NanReward,
+        ),
+    );
     let stats = t.try_train_epoch().expect("rollback policy must recover");
     assert_eq!(t.fault_stats().rollbacks, 1);
     assert_eq!(t.quarantined_graphs(), vec![1]);
@@ -190,12 +202,15 @@ fn rollback_policy_restores_and_quarantines() {
 
 #[test]
 fn abort_policy_surfaces_the_fault_as_an_error() {
-    let mut t = build_trainer(51, FaultPolicy::Abort);
-    let _g = inject::armed(inject::FaultInjector::new(0).at(
-        inject::Site::Rollout,
-        inject::rollout_key(0, 2, 1),
-        inject::Fault::NanReward,
-    ));
+    let mut t = build_faulty_trainer(
+        51,
+        FaultPolicy::Abort,
+        FaultInjector::new(0).at(
+            inject::Site::Rollout,
+            inject::rollout_key(0, 2, 1),
+            inject::Fault::NanReward,
+        ),
+    );
     let err = t
         .try_train_epoch()
         .expect_err("abort policy must surface the fault");
@@ -216,4 +231,39 @@ fn abort_policy_surfaces_the_fault_as_an_error() {
         ),
         (0, 0, 0)
     );
+}
+
+/// A plan is owned by its run: a trainer with a wildcard NaN plan and a
+/// clean trainer training concurrently in one process must not see each
+/// other's faults.
+#[test]
+fn a_plan_fires_only_in_its_own_run() {
+    let epoch = |mut t: ReinforceTrainer<MetisCoarsePlacer>| {
+        let stats = t.try_train_epoch().expect("skip policy must recover");
+        (stats, t.fault_stats().skipped_samples)
+    };
+    let solo = epoch(build_trainer(71, FaultPolicy::SkipSample));
+    // Both runs start their epoch together, so the two epochs overlap.
+    let start = std::sync::Barrier::new(2);
+    let (clean, faulty) = std::thread::scope(|s| {
+        let faulty = s.spawn(|| {
+            let plan = FaultInjector::new(0).at(
+                inject::Site::Rollout,
+                inject::ANY_KEY,
+                inject::Fault::NanReward,
+            );
+            let t = build_faulty_trainer(71, FaultPolicy::SkipSample, plan);
+            start.wait();
+            epoch(t)
+        });
+        let clean = s.spawn(|| {
+            let t = build_trainer(71, FaultPolicy::SkipSample);
+            start.wait();
+            epoch(t)
+        });
+        (clean.join().unwrap(), faulty.join().unwrap())
+    });
+    assert_eq!(clean, solo, "the clean run must match a solo run exactly");
+    assert_eq!(clean.1, 0);
+    assert!(faulty.1 > 0, "the faulty run must skip its NaN samples");
 }

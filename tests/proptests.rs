@@ -1,11 +1,35 @@
 //! Property-based tests over the core invariants, spanning crates.
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg::gen::{DatasetSpec, Setting};
-use spg::graph::{Coarsening, Placement, TupleRates, WeightedGraph};
-use spg::partition::{kway_partition, PartitionConfig};
+use spg::graph::{
+    Allocator, Channel, ClusterSpec, Coarsening, Operator, Placement, StreamGraph, TupleRates,
+    WeightedGraph,
+};
+use spg::partition::{kway_partition, MetisAllocator, PartitionConfig};
+use spg::sim::relative_throughput;
+
+/// A generated graph (scaled small or large setting) with its cluster,
+/// source rate and Metis placement.
+fn metis_case(large: bool, seed: u64) -> (StreamGraph, ClusterSpec, f64, Placement) {
+    let setting = if large {
+        Setting::Large
+    } else {
+        Setting::Small
+    };
+    let spec = DatasetSpec::scaled_down(setting);
+    let cluster = spec.cluster();
+    let g = spg::gen::generate_graph(&spec, seed);
+    let p = MetisAllocator::new(seed).allocate(&g, &cluster, spec.source_rate);
+    (g, cluster, spec.source_rate, p)
+}
+
+fn rebuild(ops: Vec<Operator>, edges: Vec<(u32, u32)>, channels: Vec<Channel>) -> StreamGraph {
+    StreamGraph::from_parts(ops, edges, channels).expect("a relabelled or rescaled DAG stays valid")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -104,6 +128,74 @@ proptest! {
         }
     }
 
+    /// The reward sees CPU cost only as IPT / MIPS: scaling every
+    /// operator's IPT and the devices' MIPS by one factor leaves the
+    /// relative throughput of a Metis placement unchanged.
+    #[test]
+    fn reward_is_invariant_under_joint_cpu_scaling(
+        seed in 0u64..5000,
+        large in any::<bool>(),
+        c in 0.1f64..10.0,
+    ) {
+        let (g, cluster, rate, p) = metis_case(large, seed);
+        let ops = g.ops().iter().map(|o| Operator::new(o.ipt * c)).collect();
+        let scaled = rebuild(ops, g.edge_list().to_vec(), g.channels().to_vec());
+        let faster = ClusterSpec { mips: cluster.mips * c, ..cluster };
+        let r = relative_throughput(&g, &cluster, &p, rate);
+        let rc = relative_throughput(&scaled, &faster, &p, rate);
+        prop_assert!((r - rc).abs() < 1e-12, "c {} r {} rc {}", c, r, rc);
+    }
+
+    /// Likewise for network cost, seen only as payload / bandwidth:
+    /// scaling every channel's payload and the link bandwidth by one
+    /// factor leaves the reward unchanged.
+    #[test]
+    fn reward_is_invariant_under_joint_network_scaling(
+        seed in 0u64..5000,
+        large in any::<bool>(),
+        c in 0.1f64..10.0,
+    ) {
+        let (g, cluster, rate, p) = metis_case(large, seed);
+        let channels = g
+            .channels()
+            .iter()
+            .map(|ch| Channel { payload: ch.payload * c, ..*ch })
+            .collect();
+        let scaled = rebuild(g.ops().to_vec(), g.edge_list().to_vec(), channels);
+        let wider = ClusterSpec { link_mbps: cluster.link_mbps * c, ..cluster };
+        let r = relative_throughput(&g, &cluster, &p, rate);
+        let rc = relative_throughput(&scaled, &wider, &p, rate);
+        prop_assert!((r - rc).abs() < 1e-12, "c {} r {} rc {}", c, r, rc);
+    }
+
+    /// Node ids are names, not structure: relabelling the graph's nodes
+    /// and permuting the placement alongside leaves the reward unchanged.
+    /// (MetisAllocator itself is not relabelling-invariant — its matching
+    /// and graph growing follow node order — so the placement is carried
+    /// over, not recomputed.)
+    #[test]
+    fn reward_is_invariant_under_node_relabelling(seed in 0u64..5000, large in any::<bool>()) {
+        let (g, cluster, rate, p) = metis_case(large, seed);
+        let n = g.num_nodes();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+        let mut ops = g.ops().to_vec();
+        let mut devices = vec![0u32; n];
+        for v in 0..n {
+            ops[perm[v] as usize] = g.ops()[v];
+            devices[perm[v] as usize] = p.device(v);
+        }
+        let edges = g
+            .edge_list()
+            .iter()
+            .map(|&(s, d)| (perm[s as usize], perm[d as usize]))
+            .collect();
+        let relabelled = rebuild(ops, edges, g.channels().to_vec());
+        let r = relative_throughput(&g, &cluster, &p, rate);
+        let rp = relative_throughput(&relabelled, &cluster, &Placement::new(devices), rate);
+        prop_assert!((r - rp).abs() < 1e-12, "r {} relabelled {}", r, rp);
+    }
+
     /// CDF AUC is monotone: pointwise-better throughputs never raise AUC.
     #[test]
     fn auc_is_monotone(ts in prop::collection::vec(0.0f64..10_000.0, 1..40)) {
@@ -116,11 +208,10 @@ proptest! {
     /// Device placements from the Metis allocator are always valid.
     #[test]
     fn metis_allocator_is_total(seed in 0u64..5000) {
-        use spg::graph::Allocator;
         let spec = DatasetSpec::scaled_down(Setting::Small);
         let cluster = spec.cluster();
         let g = spg::gen::generate_graph(&spec, seed);
-        let alloc = spg::partition::MetisAllocator::new(seed);
+        let alloc = MetisAllocator::new(seed);
         let p = alloc.allocate(&g, &cluster, spec.source_rate);
         prop_assert!(p.validate(&g, cluster.devices));
     }

@@ -295,15 +295,6 @@ fn wire_v2_reports_the_stable_shard_assignment() {
 #[test]
 fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
     let ck = quick_checkpoint(23);
-    // max_batch 1 forces one inference pass per request. The timeout is
-    // raised so queued backlog never expires on a slow machine.
-    let cfg = ServeConfig::builder()
-        .replicas(2)
-        .max_batch(1)
-        .request_timeout_ms(120_000)
-        .build()
-        .unwrap();
-
     let medium = DatasetSpec::scaled_down(Setting::MediumFiveDevices);
     let graphs: Vec<_> = (0..16u64)
         .map(|s| spg::gen::generate_graph(&medium, 500 + s))
@@ -319,7 +310,15 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
     let fp0 = request_fingerprint(&graphs[0], small.cluster().devices, small.source_rate);
     let plan =
         inject::FaultInjector::new(0).at(inject::Site::ReplicaWork, fp0, inject::Fault::Stall);
-    let _guard = inject::armed(plan);
+    // max_batch 1 forces one inference pass per request. The timeout is
+    // raised so queued backlog never expires on a slow machine.
+    let cfg = ServeConfig::builder()
+        .replicas(2)
+        .max_batch(1)
+        .request_timeout_ms(120_000)
+        .faults(plan)
+        .build()
+        .unwrap();
     let (addr, handle) = spawn_server(cfg, ck);
 
     // Pre-open the late connection before shutdown is even sent.
@@ -417,13 +416,17 @@ fn a_killed_replica_is_respawned_and_the_retry_is_bitwise_identical() {
     let spec = DatasetSpec::scaled_down(Setting::Small);
     let g = spg::gen::generate_graph(&spec, 900);
     let fp = request_fingerprint(&g, spec.cluster().devices, spec.source_rate);
-    let cfg = || ServeConfig::builder().replicas(2).build().unwrap();
+    let cfg = |plan| {
+        ServeConfig::builder()
+            .replicas(2)
+            .faults(plan)
+            .build()
+            .unwrap()
+    };
 
-    // Baseline: the response a healthy server gives this request. The
-    // serial lock keeps concurrently injecting tests out of this run.
+    // Baseline: the response a healthy server gives this request.
     let baseline = {
-        let _serial = inject::test_serial();
-        let (addr, handle) = spawn_server(cfg(), ck.clone());
+        let (addr, handle) = spawn_server(cfg(inject::FaultInjector::default()), ck.clone());
         let mut client = Client::connect(&addr);
         client.send_line(&alloc_request("target", &g).to_line());
         let line = client.read_raw_line();
@@ -435,8 +438,7 @@ fn a_killed_replica_is_respawned_and_the_retry_is_bitwise_identical() {
     // Injected: the owning shard's generation-0 incarnation dies the
     // moment it dequeues this fingerprint.
     let plan = inject::FaultInjector::new(0).at(inject::Site::ReplicaWork, fp, inject::Fault::Kill);
-    let _guard = inject::armed(plan);
-    let (addr, handle) = spawn_server(cfg(), ck);
+    let (addr, handle) = spawn_server(cfg(plan), ck);
     let mut client = Client::connect(&addr);
     client.send_line(&alloc_request("target", &g).to_line());
     let WireResponse::Err(e) = client.read_response() else {
@@ -472,8 +474,8 @@ fn an_injected_worker_panic_fails_one_request_without_a_restart() {
     let fp = request_fingerprint(&g_bad, spec.cluster().devices, spec.source_rate);
     let plan =
         inject::FaultInjector::new(0).at(inject::Site::ReplicaWork, fp, inject::Fault::WorkerPanic);
-    let _guard = inject::armed(plan);
-    let (addr, handle) = spawn_server(ServeConfig::default(), ck);
+    let cfg = ServeConfig::builder().faults(plan).build().unwrap();
+    let (addr, handle) = spawn_server(cfg, ck);
     let mut client = Client::connect(&addr);
 
     client.send_line(&alloc_request("bad", &g_bad).to_line());
@@ -499,9 +501,6 @@ fn an_injected_worker_panic_fails_one_request_without_a_restart() {
 
 #[test]
 fn a_zero_deadline_is_shed_by_name_and_a_generous_one_is_not() {
-    // Injection disabled — hold the serial lock so armed tests cannot
-    // leak faults into this run.
-    let _serial = inject::test_serial();
     let ck = quick_checkpoint(27);
     let spec = DatasetSpec::scaled_down(Setting::Small);
     let g = spg::gen::generate_graph(&spec, 920);
@@ -547,11 +546,11 @@ fn past_the_watermark_cache_hits_answer_and_misses_shed() {
     // deterministically at the watermark when the follow-ups route.
     let plan =
         inject::FaultInjector::new(0).at(inject::Site::ReplicaWork, fp_stall, inject::Fault::Stall);
-    let _guard = inject::armed(plan);
     let cfg = ServeConfig::builder()
         .replicas(1)
         .max_batch(1)
         .shed_watermark(1)
+        .faults(plan)
         .build()
         .unwrap();
     let (addr, handle) = spawn_server(cfg, ck);
