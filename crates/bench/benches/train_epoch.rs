@@ -1,8 +1,9 @@
 //! REINFORCE train-epoch throughput at 1 vs N rollout workers, plus the
-//! blocked matmul kernel rate and the forward's tanh. Besides the usual
-//! stdout report, writes `BENCH_train.json` at the workspace root with
-//! ns/epoch per worker count, the matmul GFLOP/s and tanh ns/element, so
-//! perf can be tracked across PRs.
+//! matmul kernel rates (forward shapes and the two backward products)
+//! and the forward's tanh. Besides the usual stdout report, writes
+//! `BENCH_train.json` at the workspace root with ns/epoch per worker
+//! count, the kernels' GFLOP/s and tanh ns/element, so perf can be
+//! tracked across PRs.
 //!
 //! The worker counts share one RNG scheme (seed-per-sample), so every
 //! row of this bench computes bitwise-identical training trajectories —
@@ -17,7 +18,7 @@ use spg_core::{
 use spg_gen::{DatasetSpec, Setting};
 use spg_graph::StreamGraph;
 use spg_nn::quant::{gemm_i8, quantize_rows_i8};
-use spg_nn::{MatmulMode, Matrix};
+use spg_nn::Matrix;
 use std::path::Path;
 
 const MATMUL_DIM: usize = 128;
@@ -92,14 +93,11 @@ fn bench_matmul(c: &mut Criterion) {
     let n = MATMUL_DIM;
     let mut group = c.benchmark_group("matmul");
     group.sample_size(10);
-    // Square kernel-rate rows, strict vs fast-math (the `f32/128x128` id
-    // is the key scripts/ci.sh's perf gate tracks across PRs).
+    // Square kernel-rate row (the `f32/128x128` id is the key
+    // scripts/ci.sh's perf gate tracks across PRs).
     let (a, b) = matmul_operands(n, n, n);
     group.bench_function(BenchmarkId::new("f32", format!("{n}x{n}")), |bch| {
-        bch.iter(|| black_box(a.matmul_with_mode(&b, MatmulMode::Strict)))
-    });
-    group.bench_function(BenchmarkId::new("f32-fast", format!("{n}x{n}")), |bch| {
-        bch.iter(|| black_box(a.matmul_with_mode(&b, MatmulMode::Fast)))
+        bch.iter(|| black_box(a.matmul(&b)))
     });
     // The shapes the inference path actually runs: [nodes x in]·[in x
     // hidden] of the encoder input projection and the per-hop update at
@@ -108,7 +106,7 @@ fn bench_matmul(c: &mut Criterion) {
         let (a, b) = matmul_operands(rows, cols, hidden);
         group.bench_function(
             BenchmarkId::new("f32", format!("{rows}x{cols}x{hidden}")),
-            |bch| bch.iter(|| black_box(a.matmul_with_mode(&b, MatmulMode::Strict))),
+            |bch| bch.iter(|| black_box(a.matmul(&b))),
         );
     }
     // Integer-accumulated kernel rate of the quantized serve path
@@ -135,6 +133,21 @@ fn bench_matmul(c: &mut Criterion) {
         });
     }
     group.finish();
+    // The msg layer's two backward products at a scaled-large edge count,
+    // with g = dL/dY [800 x 24] for Y = X·W, X [800 x 28], W [28 x 24]:
+    // dX = g·Wᵀ and dW = Xᵀ·g.
+    let (x, w) = matmul_operands(800, 28, 24);
+    let (g, _) = matmul_operands(800, 24, 1);
+    c.benchmark_group("matmul_t")
+        .sample_size(10)
+        .bench_function(BenchmarkId::new("f32", "800x24x28"), |bch| {
+            bch.iter(|| black_box(g.matmul_t(&w)))
+        });
+    c.benchmark_group("t_matmul")
+        .sample_size(10)
+        .bench_function(BenchmarkId::new("f32", "800x28x24"), |bch| {
+            bch.iter(|| black_box(x.t_matmul(&g)))
+        });
 }
 
 fn bench_activation(c: &mut Criterion) {
@@ -158,7 +171,8 @@ fn bench_activation(c: &mut Criterion) {
 }
 
 /// `NxK` (square-output `NxKxN` shorthand for the legacy `128x128` id) or
-/// `NxKxM` dims from a `matmul/<kind>/<shape>` bench id.
+/// `NxKxM` dims from a `matmul`, `matmul_t` or `t_matmul` bench id
+/// (`<group>/<kind>/<shape>`).
 fn matmul_flops(id: &str) -> Option<f64> {
     let shape = id.rsplit('/').next()?;
     let dims: Vec<f64> = shape
@@ -176,7 +190,7 @@ fn emit_json(c: &Criterion, path: &Path) {
     let mut lines = Vec::new();
     for r in &c.results {
         let mut fields = format!("\"ns_per_iter\": {:.1}", r.ns_per_iter);
-        if r.id.starts_with("matmul/") {
+        if r.id.contains("matmul") {
             if let Some(flops) = matmul_flops(&r.id) {
                 fields.push_str(&format!(", \"gflops\": {:.3}", flops / r.ns_per_iter));
             }

@@ -28,7 +28,7 @@ pub mod tanh;
 pub mod tape;
 
 pub use layers::{InferLayer, Linear, LstmCell, Mlp};
-pub use matrix::{matmul_mode, set_matmul_mode, stable_sigmoid, MatmulMode, Matrix};
+pub use matrix::{stable_sigmoid, Matrix};
 pub use optim::Adam;
 pub use param::{Param, ParamSet};
 pub use quant::QuantizedLinear;

@@ -1,75 +1,29 @@
-//! Dense row-major `f32` matrices and the vectorized matmul kernels.
+//! Dense row-major `f32` matrices and the vectorized matmul kernel.
 //!
 //! # Kernel determinism policy
 //!
-//! Every kernel has two modes (see [`MatmulMode`]):
+//! `matmul`, `t_matmul` and `matmul_t` run one GEMM kernel, and every
+//! tier of it is bitwise identical to the naive reference loop: each
+//! output element starts at +0.0 and adds its `k` terms in ascending
+//! inner index, rounding one `mul` and one `add` per term. SIMD still
+//! pays because vector lanes hold *different* output elements —
+//! broadcasting `a[i][kk]` against a row panel of `b` leaves every
+//! element's own chain untouched — so there is no FMA contraction, no
+//! split partial sum and no horizontal reduction anywhere.
 //!
-//! * **Strict** (default): bitwise identical to the naive reference loop.
-//!   Each output element accumulates its `k` terms in ascending order with
-//!   one `mul` + one `add` rounding per term. SIMD is still possible
-//!   because vector lanes hold *different* output elements — broadcasting
-//!   `a[i][kk]` against a row panel of `b` keeps every element's own
-//!   accumulation chain untouched. The strict AVX2/SSE2 paths therefore
-//!   produce the same bits as the scalar loop, just faster.
-//! * **Fast** (opt-in via `SPG_FAST_MATH=1` or [`set_matmul_mode`]): allows
-//!   FMA contraction (one rounding per term instead of two) and, for the
-//!   dot-product kernel, multiple independent accumulators (reassociation).
-//!   Results are deterministic for a given CPU but *not* bitwise equal to
-//!   strict mode; the property tests bound the divergence at 1e-5 relative.
+//! The kernel reads its left operand through strides, element `(i, kk)`
+//! at `a[i*rs + kk*cs]`: `matmul` passes `(k, 1)` and `t_matmul`
+//! `(1, n)`. `matmul_t` copies its right operand transposed and runs
+//! `matmul`, so its lanes too hold different output elements instead of
+//! one dot product's terms.
 //!
 //! Dispatch picks the widest instruction set at runtime
-//! (`is_x86_feature_detected!`, cached) and falls back to a portable
-//! 8-wide unrolled path on other architectures. See DESIGN.md §
-//! "Kernel vectorization policy" for how to add a kernel without breaking
-//! the determinism guarantees.
+//! (`is_x86_feature_detected!`, cached): the register-blocked AVX2
+//! kernel, an SSE2 panel kernel, or a portable 8-wide unrolled loop. See
+//! DESIGN.md § "f32 kernels" for how to add a kernel without breaking
+//! the contract.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Floating-point contract for the matmul kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulMode {
-    /// Bitwise identical to the naive reference loops (default).
-    Strict,
-    /// FMA + reassociation allowed; deterministic but not bitwise equal
-    /// to strict. Opt-in via `SPG_FAST_MATH=1` or [`set_matmul_mode`].
-    Fast,
-}
-
-const MODE_UNSET: u8 = 0;
-const MODE_STRICT: u8 = 1;
-const MODE_FAST: u8 = 2;
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// The process-wide kernel mode. First call reads `SPG_FAST_MATH`
-/// (`1`/`true` enables fast math); later calls are a single atomic load.
-pub fn matmul_mode() -> MatmulMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_STRICT => MatmulMode::Strict,
-        MODE_FAST => MatmulMode::Fast,
-        _ => {
-            let fast = std::env::var("SPG_FAST_MATH")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            let mode = if fast {
-                MatmulMode::Fast
-            } else {
-                MatmulMode::Strict
-            };
-            set_matmul_mode(mode);
-            mode
-        }
-    }
-}
-
-/// Override the process-wide kernel mode (wins over `SPG_FAST_MATH`).
-pub fn set_matmul_mode(mode: MatmulMode) {
-    let tag = match mode {
-        MatmulMode::Strict => MODE_STRICT,
-        MatmulMode::Fast => MODE_FAST,
-    };
-    MODE.store(tag, Ordering::Relaxed);
-}
 
 /// Numerically stable logistic function, shared by the tape ops and the
 /// tape-free inference path so both produce identical bits.
@@ -145,64 +99,48 @@ impl Matrix {
         self.data[r * self.cols + c] = x;
     }
 
-    /// `self @ other` under the process-wide [`matmul_mode`].
+    /// `self @ other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with_mode(other, matmul_mode())
-    }
-
-    /// `self @ other` under an explicit mode (tests and benches use this
-    /// so parallel test threads never race on the global mode).
-    pub fn matmul_with_mode(&self, other: &Matrix, mode: MatmulMode) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into_mode(other, &mut out, mode);
+        self.matmul_into(other, &mut out);
         out
     }
 
-    /// `self @ other` into a preallocated (and re-zeroed) `out`, under the
-    /// process-wide mode. The workhorse of the tape-free inference path —
-    /// no allocation when `out` comes from a scratch arena.
+    /// `self @ other` into a preallocated `out`, which is overwritten.
+    /// The workhorse of the tape-free inference path — no allocation when
+    /// `out` comes from a scratch arena.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_into_mode(other, out, matmul_mode());
-    }
-
-    /// `self @ other` into `out` under an explicit mode.
-    pub fn matmul_into_mode(&self, other: &Matrix, out: &mut Matrix, mode: MatmulMode) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         assert_eq!(
             (out.rows, out.cols),
             (self.rows, other.cols),
             "matmul out shape mismatch"
         );
-        out.fill_zero();
-        matmul_kernel(self, other, out, mode);
+        let (n, k, m) = (self.rows, self.cols, other.cols);
+        gemm(&self.data, (k, 1), &other.data, &mut out.data, n, k, m);
     }
 
-    /// `self^T @ other` without materialising the transpose, under the
-    /// process-wide mode.
+    /// `self^T @ other` without materialising the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        self.t_matmul_with_mode(other, matmul_mode())
-    }
-
-    /// `self^T @ other` under an explicit mode.
-    pub fn t_matmul_with_mode(&self, other: &Matrix, mode: MatmulMode) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        t_matmul_kernel(self, other, &mut out, mode);
+        let (k, n, m) = (self.rows, self.cols, other.cols);
+        let mut out = Matrix::zeros(n, m);
+        gemm(&self.data, (1, n), &other.data, &mut out.data, n, k, m);
         out
     }
 
-    /// `self @ other^T` without materialising the transpose, under the
-    /// process-wide mode.
+    /// `self @ other^T`, as `self @ t` for a transposed copy `t` of
+    /// `other`. In backward `other` is the weight-sized operand, so the
+    /// copy is small next to the product.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        self.matmul_t_with_mode(other, matmul_mode())
-    }
-
-    /// `self @ other^T` under an explicit mode.
-    pub fn matmul_t_with_mode(&self, other: &Matrix, mode: MatmulMode) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        matmul_t_kernel(self, other, &mut out, mode);
-        out
+        let mut t = Matrix::zeros(other.cols, other.rows);
+        for r in 0..other.rows {
+            for c in 0..other.cols {
+                t.data[c * other.rows + r] = other.data[r * other.cols + c];
+            }
+        }
+        self.matmul(&t)
     }
 
     /// In-place `self += other`.
@@ -271,136 +209,58 @@ impl Matrix {
 
 // ---- dispatch -------------------------------------------------------------
 
-/// `out += a @ b` for zeroed `out`. Picks the widest runtime-detected
-/// instruction set; the strict variants are bitwise identical to
-/// `portable::matmul`, the FMA variant is Fast-mode only.
-fn matmul_kernel(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: MatmulMode) {
-    let (n, k, m) = (a.rows, a.cols, b.cols);
+/// `out = a @ b`, overwriting `out` (`n x m`): the left operand's element
+/// `(i, kk)` is `a[i*rs + kk*cs]` and `b` is row-major `k x m`. Picks the
+/// widest runtime-detected instruction set; every tier is bitwise
+/// identical to the naive loop.
+fn gemm(
+    a: &[f32],
+    (rs, cs): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
+    // The kernels read and write unchecked inside these bounds.
+    assert!(n == 0 || k == 0 || (n - 1) * rs + (k - 1) * cs < a.len());
+    assert!(b.len() >= k * m && out.len() >= n * m);
     #[cfg(target_arch = "x86_64")]
     {
         let lvl = x86::level();
         if lvl >= x86::LVL_AVX2 {
-            // SAFETY: AVX2 (and FMA for the fast variant) verified by
-            // `x86::level`; slice lengths checked by the callers' asserts.
-            unsafe {
-                if mode == MatmulMode::Fast && lvl >= x86::LVL_AVX2_FMA {
-                    x86::matmul_avx2_fma(&a.data, &b.data, &mut out.data, n, k, m);
-                } else {
-                    x86::matmul_avx2(&a.data, &b.data, &mut out.data, n, k, m);
-                }
-            }
+            // SAFETY: AVX2 verified by `x86::level`; bounds asserted above.
+            unsafe { x86::gemm_avx2(a, (rs, cs), b, out, n, k, m) };
             return;
         }
         if lvl >= x86::LVL_SSE2 {
-            // SAFETY: SSE2 verified by `x86::level`.
-            unsafe { x86::matmul_sse2(&a.data, &b.data, &mut out.data, n, k, m) };
+            // SAFETY: SSE2 verified by `x86::level`; bounds asserted above.
+            unsafe { x86::gemm_sse2(a, (rs, cs), b, out, n, k, m) };
             return;
         }
     }
-    let _ = mode; // non-x86 targets only have the strict portable path
-    portable::matmul(&a.data, &b.data, &mut out.data, n, k, m);
+    portable::gemm(a, (rs, cs), b, out, n, k, m);
 }
 
-/// `out += a^T @ b` for zeroed `out` (`a` is `k x n`, column-broadcast).
-fn t_matmul_kernel(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: MatmulMode) {
-    let (k, n, m) = (a.rows, a.cols, b.cols);
-    #[cfg(target_arch = "x86_64")]
-    {
-        let lvl = x86::level();
-        if lvl >= x86::LVL_AVX2 {
-            // SAFETY: features verified by `x86::level`.
-            unsafe {
-                if mode == MatmulMode::Fast && lvl >= x86::LVL_AVX2_FMA {
-                    x86::t_matmul_avx2_fma(&a.data, &b.data, &mut out.data, n, k, m);
-                } else {
-                    x86::t_matmul_avx2(&a.data, &b.data, &mut out.data, n, k, m);
-                }
-            }
-            return;
-        }
-        if lvl >= x86::LVL_SSE2 {
-            // SAFETY: SSE2 verified by `x86::level`.
-            unsafe { x86::t_matmul_sse2(&a.data, &b.data, &mut out.data, n, k, m) };
-            return;
-        }
-    }
-    let _ = mode;
-    portable::t_matmul(&a.data, &b.data, &mut out.data, n, k, m);
-}
-
-/// `out = a @ b^T`. Strict mode keeps a single sequential accumulator per
-/// element (vector lanes cannot help without reassociating), so it stays
-/// on the portable 8-wide unrolled dot. Fast mode uses 4 independent
-/// 8-lane FMA accumulators with a fixed-order reduction.
-fn matmul_t_kernel(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: MatmulMode) {
-    let (n, k, m) = (a.rows, a.cols, b.rows);
-    #[cfg(target_arch = "x86_64")]
-    if mode == MatmulMode::Fast && x86::level() >= x86::LVL_AVX2_FMA {
-        // SAFETY: AVX2+FMA verified by `x86::level`.
-        unsafe { x86::matmul_t_avx2_fma(&a.data, &b.data, &mut out.data, n, k, m) };
-        return;
-    }
-    let _ = mode;
-    portable::matmul_t(&a.data, &b.data, &mut out.data, n, k, m);
-}
-
-// ---- portable kernels -----------------------------------------------------
-
-/// Cache-block edge for the portable kernels: 64×64 f32 tiles (16 KiB per
-/// operand) fit in L1 alongside the streamed operand.
-const BLOCK: usize = 64;
+// ---- portable kernel ------------------------------------------------------
 
 mod portable {
-    use super::BLOCK;
-
-    /// Blocked ikj matmul; ascending-`k` accumulation per element, so
-    /// bitwise identical to the naive triple loop.
-    pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-        for i0 in (0..n).step_by(BLOCK) {
-            let i1 = (i0 + BLOCK).min(n);
-            for k0 in (0..k).step_by(BLOCK) {
-                let k1 = (k0 + BLOCK).min(k);
-                for i in i0..i1 {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * m..(i + 1) * m];
-                    for (kk, &av) in a_row.iter().enumerate().take(k1).skip(k0) {
-                        axpy(out_row, av, &b[kk * m..(kk + 1) * m]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocked kij transpose-matmul; same ascending-`k` order as naive.
-    pub fn t_matmul(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for i0 in (0..n).step_by(BLOCK) {
-                let i1 = (i0 + BLOCK).min(n);
-                for kk in k0..k1 {
-                    let a_row = &a[kk * n..(kk + 1) * n];
-                    let b_row = &b[kk * m..(kk + 1) * m];
-                    for (i, &av) in a_row.iter().enumerate().take(i1).skip(i0) {
-                        axpy(&mut out[i * m..(i + 1) * m], av, b_row);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocked dot-product matmul against `b^T`; single sequential
-    /// accumulator per element (bitwise identical to naive).
-    pub fn matmul_t(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-        for i0 in (0..n).step_by(BLOCK) {
-            let i1 = (i0 + BLOCK).min(n);
-            for j0 in (0..m).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(m);
-                for i in i0..i1 {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    for j in j0..j1 {
-                        out[i * m + j] = dot(a_row, &b[j * k..(j + 1) * k]);
-                    }
-                }
+    /// Row by row: zero `out` row `i`, then one `axpy` per ascending `kk`,
+    /// which is the naive loop's chain for every element of the row.
+    pub fn gemm(
+        a: &[f32],
+        (rs, cs): (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        n: usize,
+        k: usize,
+        m: usize,
+    ) {
+        for i in 0..n {
+            let out_row = &mut out[i * m..(i + 1) * m];
+            out_row.fill(0.0);
+            for kk in 0..k {
+                axpy(out_row, a[i * rs + kk * cs], &b[kk * m..(kk + 1) * m]);
             }
         }
     }
@@ -408,7 +268,7 @@ mod portable {
     /// `out[j] += a * b[j]`, unrolled 8-wide. Each `out[j]` receives
     /// exactly one add, so this is bitwise equivalent to the scalar loop.
     #[inline]
-    pub fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
+    fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
         let n = out.len();
         let n8 = n / 8 * 8;
         let (o8, o_tail) = out.split_at_mut(n8);
@@ -427,31 +287,6 @@ mod portable {
             *o += a * bb;
         }
     }
-
-    /// Sequential-order dot product, unrolled 8-wide into a single
-    /// accumulator (no partial-sum reassociation: the float result
-    /// matches the naive `for kk { acc += a[kk] * b[kk] }` loop exactly).
-    #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let n8 = a.len() / 8 * 8;
-        let (a8, a_tail) = a.split_at(n8);
-        let (b8, b_tail) = b[..a.len()].split_at(n8);
-        let mut acc = 0.0f32;
-        for (ac, bc) in a8.chunks_exact(8).zip(b8.chunks_exact(8)) {
-            acc += ac[0] * bc[0];
-            acc += ac[1] * bc[1];
-            acc += ac[2] * bc[2];
-            acc += ac[3] * bc[3];
-            acc += ac[4] * bc[4];
-            acc += ac[5] * bc[5];
-            acc += ac[6] * bc[6];
-            acc += ac[7] * bc[7];
-        }
-        for (&x, &y) in a_tail.iter().zip(b_tail) {
-            acc += x * y;
-        }
-        acc
-    }
 }
 
 // ---- x86-64 SIMD kernels --------------------------------------------------
@@ -463,7 +298,6 @@ pub(crate) mod x86 {
 
     pub const LVL_SSE2: u8 = 2;
     pub const LVL_AVX2: u8 = 3;
-    pub const LVL_AVX2_FMA: u8 = 4;
     const LVL_NONE: u8 = 1;
     const LVL_UNKNOWN: u8 = 0;
 
@@ -474,11 +308,7 @@ pub(crate) mod x86 {
         match LEVEL.load(Ordering::Relaxed) {
             LVL_UNKNOWN => {
                 let l = if is_x86_feature_detected!("avx2") {
-                    if is_x86_feature_detected!("fma") {
-                        LVL_AVX2_FMA
-                    } else {
-                        LVL_AVX2
-                    }
+                    LVL_AVX2
                 } else if is_x86_feature_detected!("sse2") {
                     LVL_SSE2
                 } else {
@@ -491,254 +321,197 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Strict multiply-add: two roundings, exactly like the scalar loop.
-    macro_rules! madd256_strict {
-        ($x:expr, $y:expr, $acc:expr) => {
-            _mm256_add_ps($acc, _mm256_mul_ps($x, $y))
-        };
-    }
-    /// Fused multiply-add: one rounding (Fast mode only).
-    macro_rules! madd256_fma {
-        ($x:expr, $y:expr, $acc:expr) => {
-            _mm256_fmadd_ps($x, $y, $acc)
-        };
-    }
-
-    /// `a[i][kk]` for the row-major `n x k` left operand of `matmul`.
-    macro_rules! aload_row {
-        ($a:ident, $i:ident, $kk:ident, $k:ident, $n:ident) => {
-            *$a.get_unchecked($i * $k + $kk)
-        };
-    }
-    /// `a[kk][i]` for the `k x n` left operand of `t_matmul`.
-    macro_rules! aload_col {
-        ($a:ident, $i:ident, $kk:ident, $k:ident, $n:ident) => {
-            *$a.get_unchecked($kk * $n + $i)
-        };
+    /// One GEMM call's operands, shared by its tiles: `a` strided as in
+    /// `gemm`, `b` row-major `k x m`, `out` row-major `n x m`.
+    struct Operands {
+        a: *const f32,
+        rs: usize,
+        cs: usize,
+        b: *const f32,
+        out: *mut f32,
+        k: usize,
+        m: usize,
     }
 
-    /// Register-blocked AVX2 panel kernel over 32 output columns (4 ymm
-    /// accumulators), then an 8-wide panel, then scalar tail columns.
-    /// Each output element accumulates its `k` terms in ascending order
-    /// into a register, so the strict variant is bitwise identical to the
-    /// naive loop; the FMA variant contracts mul+add into one rounding.
-    macro_rules! panel_kernel_256 {
-        ($name:ident, [$($feat:literal),+], $madd:ident, $aload:ident) => {
-            /// # Safety
-            /// Caller must verify the listed target features at runtime and
-            /// pass slices of length `n*k` / `k*m` / `n*m` with `out` zeroed.
-            #[target_feature($(enable = $feat),+)]
-            pub unsafe fn $name(
-                a: &[f32],
-                b: &[f32],
-                out: &mut [f32],
-                n: usize,
-                k: usize,
-                m: usize,
-            ) {
-                debug_assert!(b.len() >= k * m && out.len() >= n * m);
-                let bp = b.as_ptr();
-                let op = out.as_mut_ptr();
-                let mut j = 0usize;
-                while j + 32 <= m {
-                    for i in 0..n {
-                        let mut c0 = _mm256_setzero_ps();
-                        let mut c1 = _mm256_setzero_ps();
-                        let mut c2 = _mm256_setzero_ps();
-                        let mut c3 = _mm256_setzero_ps();
-                        for kk in 0..k {
-                            let av = _mm256_set1_ps($aload!(a, i, kk, k, n));
-                            let bb = bp.add(kk * m + j);
-                            c0 = $madd!(av, _mm256_loadu_ps(bb), c0);
-                            c1 = $madd!(av, _mm256_loadu_ps(bb.add(8)), c1);
-                            c2 = $madd!(av, _mm256_loadu_ps(bb.add(16)), c2);
-                            c3 = $madd!(av, _mm256_loadu_ps(bb.add(24)), c3);
-                        }
-                        let o = op.add(i * m + j);
-                        _mm256_storeu_ps(o, c0);
-                        _mm256_storeu_ps(o.add(8), c1);
-                        _mm256_storeu_ps(o.add(16), c2);
-                        _mm256_storeu_ps(o.add(24), c3);
-                    }
-                    j += 32;
-                }
-                while j + 8 <= m {
-                    for i in 0..n {
-                        let mut c0 = _mm256_setzero_ps();
-                        for kk in 0..k {
-                            let av = _mm256_set1_ps($aload!(a, i, kk, k, n));
-                            c0 = $madd!(av, _mm256_loadu_ps(bp.add(kk * m + j)), c0);
-                        }
-                        _mm256_storeu_ps(op.add(i * m + j), c0);
-                    }
-                    j += 8;
-                }
-                scalar_tail_cols(b, out, n, k, m, j, |i, kk| $aload!(a, i, kk, k, n));
-            }
-        };
-    }
-
-    panel_kernel_256!(matmul_avx2, ["avx2"], madd256_strict, aload_row);
-    panel_kernel_256!(matmul_avx2_fma, ["avx2", "fma"], madd256_fma, aload_row);
-    panel_kernel_256!(t_matmul_avx2, ["avx2"], madd256_strict, aload_col);
-    panel_kernel_256!(t_matmul_avx2_fma, ["avx2", "fma"], madd256_fma, aload_col);
-
-    /// SSE2 variant of the panel kernel: 16 output columns per pass
-    /// (4 xmm accumulators), then 4-wide, then scalar tail. Strict only —
-    /// same two-rounding multiply-add order as the naive loop.
-    macro_rules! panel_kernel_128 {
-        ($name:ident, $aload:ident) => {
-            /// # Safety
-            /// Caller must verify SSE2 at runtime and pass slices of length
-            /// `n*k` / `k*m` / `n*m` with `out` zeroed.
-            #[target_feature(enable = "sse2")]
-            pub unsafe fn $name(
-                a: &[f32],
-                b: &[f32],
-                out: &mut [f32],
-                n: usize,
-                k: usize,
-                m: usize,
-            ) {
-                debug_assert!(b.len() >= k * m && out.len() >= n * m);
-                let bp = b.as_ptr();
-                let op = out.as_mut_ptr();
-                let mut j = 0usize;
-                while j + 16 <= m {
-                    for i in 0..n {
-                        let mut c0 = _mm_setzero_ps();
-                        let mut c1 = _mm_setzero_ps();
-                        let mut c2 = _mm_setzero_ps();
-                        let mut c3 = _mm_setzero_ps();
-                        for kk in 0..k {
-                            let av = _mm_set1_ps($aload!(a, i, kk, k, n));
-                            let bb = bp.add(kk * m + j);
-                            c0 = _mm_add_ps(c0, _mm_mul_ps(av, _mm_loadu_ps(bb)));
-                            c1 = _mm_add_ps(c1, _mm_mul_ps(av, _mm_loadu_ps(bb.add(4))));
-                            c2 = _mm_add_ps(c2, _mm_mul_ps(av, _mm_loadu_ps(bb.add(8))));
-                            c3 = _mm_add_ps(c3, _mm_mul_ps(av, _mm_loadu_ps(bb.add(12))));
-                        }
-                        let o = op.add(i * m + j);
-                        _mm_storeu_ps(o, c0);
-                        _mm_storeu_ps(o.add(4), c1);
-                        _mm_storeu_ps(o.add(8), c2);
-                        _mm_storeu_ps(o.add(12), c3);
-                    }
-                    j += 16;
-                }
-                while j + 4 <= m {
-                    for i in 0..n {
-                        let mut c0 = _mm_setzero_ps();
-                        for kk in 0..k {
-                            let av = _mm_set1_ps($aload!(a, i, kk, k, n));
-                            c0 = _mm_add_ps(c0, _mm_mul_ps(av, _mm_loadu_ps(bp.add(kk * m + j))));
-                        }
-                        _mm_storeu_ps(op.add(i * m + j), c0);
-                    }
-                    j += 4;
-                }
-                scalar_tail_cols(b, out, n, k, m, j, |i, kk| $aload!(a, i, kk, k, n));
-            }
-        };
-    }
-
-    panel_kernel_128!(matmul_sse2, aload_row);
-    panel_kernel_128!(t_matmul_sse2, aload_col);
-
-    /// Scalar fallback for the last `m - j0` output columns: single
-    /// accumulator over ascending `kk` per element, matching naive.
-    #[inline]
-    fn scalar_tail_cols(
+    /// Register-blocked strict GEMM over a strided left operand; `out` is
+    /// overwritten.
+    ///
+    /// Tiles are 4 rows × 24 columns: 12 ymm accumulators, and each `kk`'s
+    /// three `b` loads are shared by the 4 rows. `n % 4` rows run as 1-row
+    /// tiles. The last `m % 24` columns run as up to three 8-lane panels
+    /// through masked loads and stores, which never touch memory past the
+    /// row, so no width falls back to scalar code. Every accumulator
+    /// starts at +0.0 and adds `mul(a, b)` once per `kk` in ascending
+    /// order: each output element gets exactly the naive loop's chain of
+    /// roundings.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 at runtime and pass operands that hold the
+    /// `n x k` / `k x m` / `n x m` shapes (asserted by `gemm`).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_avx2(
+        a: &[f32],
+        (rs, cs): (usize, usize),
         b: &[f32],
         out: &mut [f32],
         n: usize,
         k: usize,
         m: usize,
-        j0: usize,
-        aload: impl Fn(usize, usize) -> f32,
     ) {
-        for j in j0..m {
-            for i in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += aload(i, kk) * b[kk * m + j];
+        let ops = Operands {
+            a: a.as_ptr(),
+            rs,
+            cs,
+            b: b.as_ptr(),
+            out: out.as_mut_ptr(),
+            k,
+            m,
+        };
+        let all = _mm256_set1_epi32(-1);
+        let mut j = 0;
+        while j + 24 <= m {
+            column_block::<3, false>(&ops, n, j, [all; 3]);
+            j += 24;
+        }
+        let rest = m - j;
+        let mask = |skip: usize| lane_mask(rest.saturating_sub(skip));
+        match rest.div_ceil(8) {
+            0 => {}
+            1 => column_block::<1, true>(&ops, n, j, [mask(0)]),
+            2 => column_block::<2, true>(&ops, n, j, [mask(0), mask(8)]),
+            _ => column_block::<3, true>(&ops, n, j, [mask(0), mask(8), mask(16)]),
+        }
+    }
+
+    /// Lanes `0..w` set (all eight when `w >= 8`): the mask of an 8-lane
+    /// panel whose row ends `w` columns in.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(w: usize) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(w.min(8) as i32), lanes)
+    }
+
+    /// Every row of the `8 * P` output columns from `j`: 4-row tiles,
+    /// then 1-row tiles for `n % 4`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn column_block<const P: usize, const MASKED: bool>(
+        ops: &Operands,
+        n: usize,
+        j: usize,
+        masks: [__m256i; P],
+    ) {
+        let mut i = 0;
+        while i + 4 <= n {
+            tile::<4, P, MASKED>(ops, i, j, masks);
+            i += 4;
+        }
+        while i < n {
+            tile::<1, P, MASKED>(ops, i, j, masks);
+            i += 1;
+        }
+    }
+
+    /// Rows `i..i+R` × columns `j..j+8P` of `out`, accumulated in
+    /// registers over every `kk` and stored once.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize, const P: usize, const MASKED: bool>(
+        ops: &Operands,
+        i: usize,
+        j: usize,
+        masks: [__m256i; P],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); P]; R];
+        for kk in 0..ops.k {
+            let b_row = ops.b.add(kk * ops.m + j);
+            let mut bv = [_mm256_setzero_ps(); P];
+            for (p, (v, &mask)) in bv.iter_mut().zip(&masks).enumerate() {
+                *v = if MASKED {
+                    _mm256_maskload_ps(b_row.add(8 * p), mask)
+                } else {
+                    _mm256_loadu_ps(b_row.add(8 * p))
+                };
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*ops.a.add((i + r) * ops.rs + kk * ops.cs));
+                for (c, &bb) in row.iter_mut().zip(&bv) {
+                    *c = _mm256_add_ps(*c, _mm256_mul_ps(av, bb));
                 }
-                out[i * m + j] = acc;
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            let o = ops.out.add((i + r) * ops.m + j);
+            for (p, (&c, &mask)) in row.iter().zip(&masks).enumerate() {
+                if MASKED {
+                    _mm256_maskstore_ps(o.add(8 * p), mask, c);
+                } else {
+                    _mm256_storeu_ps(o.add(8 * p), c);
+                }
             }
         }
     }
 
-    /// Fast-mode `a @ b^T`: 4 independent 8-lane FMA accumulators per dot
-    /// product, reduced in a fixed order (deterministic, but reassociated —
-    /// never used in strict mode).
+    /// SSE2 tier of the same kernel, one row at a time: 16-column panels
+    /// (4 xmm accumulators), then 4-column panels, then scalar tail
+    /// columns, each with the naive loop's chain.
     ///
     /// # Safety
-    /// Caller must verify AVX2+FMA at runtime and pass slices of length
-    /// `n*k` / `m*k` / `n*m`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn matmul_t_avx2_fma(
+    /// Caller must verify SSE2 at runtime and pass operands that hold the
+    /// `n x k` / `k x m` / `n x m` shapes (asserted by `gemm`).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn gemm_sse2(
         a: &[f32],
+        (rs, cs): (usize, usize),
         b: &[f32],
         out: &mut [f32],
         n: usize,
         k: usize,
         m: usize,
     ) {
-        debug_assert!(a.len() >= n * k && b.len() >= m * k && out.len() >= n * m);
         let ap = a.as_ptr();
         let bp = b.as_ptr();
-        for i in 0..n {
-            let ar = ap.add(i * k);
-            for j in 0..m {
-                let br = bp.add(j * k);
-                let mut c0 = _mm256_setzero_ps();
-                let mut c1 = _mm256_setzero_ps();
-                let mut c2 = _mm256_setzero_ps();
-                let mut c3 = _mm256_setzero_ps();
-                let mut kk = 0usize;
-                while kk + 32 <= k {
-                    c0 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(ar.add(kk)),
-                        _mm256_loadu_ps(br.add(kk)),
-                        c0,
-                    );
-                    c1 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(ar.add(kk + 8)),
-                        _mm256_loadu_ps(br.add(kk + 8)),
-                        c1,
-                    );
-                    c2 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(ar.add(kk + 16)),
-                        _mm256_loadu_ps(br.add(kk + 16)),
-                        c2,
-                    );
-                    c3 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(ar.add(kk + 24)),
-                        _mm256_loadu_ps(br.add(kk + 24)),
-                        c3,
-                    );
-                    kk += 32;
+        let op = out.as_mut_ptr();
+        let mut j = 0usize;
+        while j + 16 <= m {
+            for i in 0..n {
+                let mut c0 = _mm_setzero_ps();
+                let mut c1 = _mm_setzero_ps();
+                let mut c2 = _mm_setzero_ps();
+                let mut c3 = _mm_setzero_ps();
+                for kk in 0..k {
+                    let av = _mm_set1_ps(*ap.add(i * rs + kk * cs));
+                    let bb = bp.add(kk * m + j);
+                    c0 = _mm_add_ps(c0, _mm_mul_ps(av, _mm_loadu_ps(bb)));
+                    c1 = _mm_add_ps(c1, _mm_mul_ps(av, _mm_loadu_ps(bb.add(4))));
+                    c2 = _mm_add_ps(c2, _mm_mul_ps(av, _mm_loadu_ps(bb.add(8))));
+                    c3 = _mm_add_ps(c3, _mm_mul_ps(av, _mm_loadu_ps(bb.add(12))));
                 }
-                while kk + 8 <= k {
-                    c0 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(ar.add(kk)),
-                        _mm256_loadu_ps(br.add(kk)),
-                        c0,
-                    );
-                    kk += 8;
+                let o = op.add(i * m + j);
+                _mm_storeu_ps(o, c0);
+                _mm_storeu_ps(o.add(4), c1);
+                _mm_storeu_ps(o.add(8), c2);
+                _mm_storeu_ps(o.add(12), c3);
+            }
+            j += 16;
+        }
+        while j + 4 <= m {
+            for i in 0..n {
+                let mut c0 = _mm_setzero_ps();
+                for kk in 0..k {
+                    let av = _mm_set1_ps(*ap.add(i * rs + kk * cs));
+                    c0 = _mm_add_ps(c0, _mm_mul_ps(av, _mm_loadu_ps(bp.add(kk * m + j))));
                 }
-                let v = _mm256_add_ps(_mm256_add_ps(c0, c1), _mm256_add_ps(c2, c3));
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+                _mm_storeu_ps(op.add(i * m + j), c0);
+            }
+            j += 4;
+        }
+        for j in j..m {
+            for i in 0..n {
                 let mut acc = 0.0f32;
-                for &l in &lanes {
-                    acc += l;
+                for kk in 0..k {
+                    acc += *ap.add(i * rs + kk * cs) * *bp.add(kk * m + j);
                 }
-                while kk < k {
-                    acc += *ar.add(kk) * *br.add(kk);
-                    kk += 1;
-                }
-                out[i * m + j] = acc;
+                *op.add(i * m + j) = acc;
             }
         }
     }
@@ -865,9 +638,10 @@ mod tests {
         }
     }
 
-    /// Shapes straddling the 32-wide AVX2 panel, the 8-wide sub-panel, the
-    /// scalar column tail, and the 64-wide portable block edge.
-    const SHAPES: [(usize, usize, usize); 9] = [
+    /// Shapes straddling the AVX2 kernel's 4-row tile, its 24-column tile
+    /// and 8-lane masked panels, the SSE2 16/4-column panels and scalar
+    /// tail, plus an empty inner dimension.
+    const SHAPES: [(usize, usize, usize); 11] = [
         (1, 1, 1),
         (3, 5, 2),
         (17, 64, 9),
@@ -877,6 +651,8 @@ mod tests {
         (5, 40, 8),
         (1, 130, 1),
         (33, 7, 40),
+        (6, 9, 47),
+        (3, 0, 5),
     ];
 
     #[test]
@@ -884,10 +660,7 @@ mod tests {
         for (si, &(n, k, m)) in SHAPES.iter().enumerate() {
             let a = filled(n, k, si as u32);
             let b = filled(k, m, 100 + si as u32);
-            assert_bits_eq(
-                &a.matmul_with_mode(&b, MatmulMode::Strict),
-                &naive_matmul(&a, &b),
-            );
+            assert_bits_eq(&a.matmul(&b), &naive_matmul(&a, &b));
         }
     }
 
@@ -896,10 +669,7 @@ mod tests {
         for (si, &(n, k, m)) in SHAPES.iter().enumerate() {
             let a = filled(k, n, 200 + si as u32);
             let b = filled(k, m, 300 + si as u32);
-            assert_bits_eq(
-                &a.t_matmul_with_mode(&b, MatmulMode::Strict),
-                &naive_t_matmul(&a, &b),
-            );
+            assert_bits_eq(&a.t_matmul(&b), &naive_t_matmul(&a, &b));
         }
     }
 
@@ -908,23 +678,42 @@ mod tests {
         for (si, &(n, k, m)) in SHAPES.iter().enumerate() {
             let a = filled(n, k, 400 + si as u32);
             let b = filled(m, k, 500 + si as u32);
-            assert_bits_eq(
-                &a.matmul_t_with_mode(&b, MatmulMode::Strict),
-                &naive_matmul_t(&a, &b),
-            );
+            assert_bits_eq(&a.matmul_t(&b), &naive_matmul_t(&a, &b));
         }
     }
 
+    /// Dispatch runs only the widest tier, so call every tier the CPU
+    /// supports directly, in both strided layouts, into a NaN-filled
+    /// `out` that each must overwrite.
     #[test]
-    fn fast_mode_stays_close_to_strict() {
+    fn every_kernel_tier_is_bitwise_identical_to_naive() {
+        type Kernel = fn(&[f32], (usize, usize), &[f32], &mut [f32], usize, usize, usize);
+        let mut tiers: Vec<Kernel> = vec![portable::gemm];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if x86::level() >= x86::LVL_SSE2 {
+                // SAFETY: SSE2 verified just above; the calls below pass
+                // operands that hold their shapes.
+                tiers.push(|a, s, b, o, n, k, m| unsafe { x86::gemm_sse2(a, s, b, o, n, k, m) });
+            }
+            if x86::level() >= x86::LVL_AVX2 {
+                // SAFETY: AVX2 verified just above; shapes as for SSE2.
+                tiers.push(|a, s, b, o, n, k, m| unsafe { x86::gemm_avx2(a, s, b, o, n, k, m) });
+            }
+        }
         for (si, &(n, k, m)) in SHAPES.iter().enumerate() {
             let a = filled(n, k, 600 + si as u32);
-            let b = filled(k, m, 700 + si as u32);
-            let strict = a.matmul_with_mode(&b, MatmulMode::Strict);
-            let fast = a.matmul_with_mode(&b, MatmulMode::Fast);
-            for (x, y) in strict.data.iter().zip(&fast.data) {
-                let tol = 1e-5 * x.abs().max(1.0);
-                assert!((x - y).abs() <= tol, "strict {x} vs fast {y}");
+            let at = filled(k, n, 700 + si as u32);
+            let b = filled(k, m, 800 + si as u32);
+            for kernel in &tiers {
+                for (lhs, strides, want) in [
+                    (&a, (k, 1), naive_matmul(&a, &b)),
+                    (&at, (1, n), naive_t_matmul(&at, &b)),
+                ] {
+                    let mut out = Matrix::from_vec(n, m, vec![f32::NAN; n * m]);
+                    kernel(&lhs.data, strides, &b.data, &mut out.data, n, k, m);
+                    assert_bits_eq(&out, &want);
+                }
             }
         }
     }
@@ -936,13 +725,6 @@ mod tests {
         let mut out = Matrix::from_vec(7, 19, vec![f32::NAN; 7 * 19]);
         a.matmul_into(&b, &mut out);
         assert_bits_eq(&out, &naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn default_mode_is_strict_without_env_override() {
-        if std::env::var("SPG_FAST_MATH").is_err() {
-            assert_eq!(matmul_mode(), MatmulMode::Strict);
-        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! # Determinism policy
 //!
-//! Unlike the f32 kernels in [`crate::matrix`], which need a strict mode
-//! to pin accumulation order, the quantized path is deterministic *by
+//! Unlike the f32 kernels in [`crate::matrix`], which must keep each
+//! sum's accumulation order, the quantized path is deterministic *by
 //! construction*: every dot product accumulates `i32` terms, and integer
 //! addition is associative and commutative, so the AVX2 panel and the
 //! portable loop produce identical sums no matter how the lanes are

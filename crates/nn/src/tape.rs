@@ -89,11 +89,6 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of a node after `backward` (None if it never received one).
-    pub fn grad(&self, v: Var) -> Option<&Matrix> {
-        self.nodes[v.0].grad.as_ref()
-    }
-
     fn push(&mut self, value: Matrix, op: Op) -> Var {
         self.nodes.push(Node {
             value,
@@ -340,8 +335,6 @@ impl Tape {
             let Some(g) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Re-insert so callers can inspect grads afterwards.
-            self.nodes[i].grad = Some(g.clone());
 
             // Split borrows: clone small things we need from the node.
             match &self.nodes[i].op {
@@ -372,8 +365,8 @@ impl Tape {
                     let (a, bias) = (*a, *bias);
                     let mut db = Matrix::zeros(1, g.cols);
                     for r in 0..g.rows {
-                        for c in 0..g.cols {
-                            db.data[c] += g.data[r * g.cols + c];
+                        for (d, &x) in db.data.iter_mut().zip(g.row(r)) {
+                            *d += x;
                         }
                     }
                     self.accumulate(a, g);

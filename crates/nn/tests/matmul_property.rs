@@ -6,20 +6,19 @@
 //! `(n, k, m)` before panicking — the report names dims and the data
 //! seed, which replays the exact case.
 //!
-//! Properties:
-//! * strict-mode `matmul` / `t_matmul` / `matmul_t` are **bitwise**
-//!   identical to the naive reference loops (single accumulator,
-//!   ascending inner index, no zero-skip) across ragged shapes;
-//! * fast-mode results stay within 1e-5 relative error of an f64
-//!   reference.
+//! Property: `matmul` / `t_matmul` / `matmul_t` are **bitwise** identical
+//! to the naive reference loops (single accumulator starting at +0.0,
+//! ascending inner index, no zero-skip) across ragged shapes and at every
+//! layer shape of the default model.
 
 use proptest::TestRng;
-use spg_nn::{MatmulMode, Matrix};
+use spg_nn::Matrix;
 
 /// Ragged-leaning dimension pool: 1 and Nx1/1xN shapes, non-multiples of
-/// 8, and sizes straddling the 32-wide panel and 64-wide cache block.
+/// 8, and sizes straddling the AVX2 kernel's 4-row and 24-column tiles,
+/// its 8-lane panels and the SSE2 16-column panel.
 const DIMS: &[usize] = &[
-    1, 2, 3, 5, 7, 8, 9, 15, 17, 31, 32, 33, 40, 63, 64, 65, 70, 129,
+    1, 2, 3, 4, 5, 7, 8, 9, 15, 17, 23, 24, 25, 31, 32, 33, 40, 63, 64, 65, 70, 129,
 ];
 
 fn draw_dim(rng: &mut TestRng) -> usize {
@@ -31,12 +30,14 @@ fn draw_dim(rng: &mut TestRng) -> usize {
 }
 
 /// Deterministic fill for a given seed: mostly uniform in [-2, 2], with
-/// exact zeros mixed in (the kernels must not special-case them — see
-/// the zero-skip removal note in `matrix.rs`) and exact powers of two.
+/// exact zeros of both signs mixed in and exact powers of two. The
+/// kernels must not special-case zeros (see the zero-skip removal note in
+/// `matrix.rs`), and an element whose products are all -0.0 pins the
+/// +0.0 start of its chain: naive gives +0.0 + -0.0 = +0.0.
 fn fill(rows: usize, cols: usize, rng: &mut TestRng) -> Matrix {
     let data = (0..rows * cols)
         .map(|_| match rng.below(8) {
-            0 => 0.0,
+            0 => [0.0f32, -0.0][rng.below(2) as usize],
             1 => [-1.0f32, 0.5, 2.0, -0.25][rng.below(4) as usize],
             _ => (rng.unit_f64() * 4.0 - 2.0) as f32,
         })
@@ -86,80 +87,27 @@ fn naive_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// f64 reference of `a @ b` for the fast-mode error bound.
-fn f64_matmul(a: &Matrix, b: &Matrix) -> Vec<f64> {
-    let mut out = vec![0.0f64; a.rows * b.cols];
-    for i in 0..a.rows {
-        for j in 0..b.cols {
-            for kk in 0..a.cols {
-                out[i * b.cols + j] += a.get(i, kk) as f64 * b.get(kk, j) as f64;
-            }
-        }
-    }
-    out
-}
-
 fn bits(m: &Matrix) -> Vec<u32> {
     m.data.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One strict-mode case: all three kernels, bitwise against naive.
+/// One case: all three products, bitwise against naive.
 fn check_strict(n: usize, k: usize, m: usize, seed: u64) -> Result<(), String> {
     let mut rng = TestRng::new(seed);
     let a = fill(n, k, &mut rng);
     let b = fill(k, m, &mut rng);
-    if bits(&a.matmul_with_mode(&b, MatmulMode::Strict)) != bits(&naive_matmul(&a, &b)) {
+    if bits(&a.matmul(&b)) != bits(&naive_matmul(&a, &b)) {
         return Err("matmul".into());
     }
     let at = fill(k, n, &mut rng);
-    if bits(&at.t_matmul_with_mode(&b, MatmulMode::Strict)) != bits(&naive_t_matmul(&at, &b)) {
+    if bits(&at.t_matmul(&b)) != bits(&naive_t_matmul(&at, &b)) {
         return Err("t_matmul".into());
     }
     let bt = fill(m, k, &mut rng);
-    if bits(&a.matmul_t_with_mode(&bt, MatmulMode::Strict)) != bits(&naive_matmul_t(&a, &bt)) {
+    if bits(&a.matmul_t(&bt)) != bits(&naive_matmul_t(&a, &bt)) {
         return Err("matmul_t".into());
     }
     Ok(())
-}
-
-/// One fast-mode case: ≤1e-5 relative error against the f64 reference.
-/// (`t_matmul`/`matmul_t` fast modes reduce to the same FMA building
-/// blocks; `matmul` vs its transposed-operand identities covers them.)
-fn check_fast(n: usize, k: usize, m: usize, seed: u64) -> Result<(), String> {
-    let mut rng = TestRng::new(seed);
-    let a = fill(n, k, &mut rng);
-    let b = fill(k, m, &mut rng);
-    let reference = f64_matmul(&a, &b);
-    for (op, got) in [
-        ("matmul", a.matmul_with_mode(&b, MatmulMode::Fast)),
-        // a^T^T @ b and a @ b^T^T hit the dedicated transpose kernels.
-        (
-            "t_matmul",
-            transpose(&a).t_matmul_with_mode(&b, MatmulMode::Fast),
-        ),
-        (
-            "matmul_t",
-            a.matmul_t_with_mode(&transpose(&b), MatmulMode::Fast),
-        ),
-    ] {
-        for (x, &r) in got.data.iter().zip(&reference) {
-            let err = (*x as f64 - r).abs();
-            if err > 1e-5 * r.abs().max(1.0) {
-                return Err(format!("{op}: |{x} - {r}| = {err:.3e}"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn transpose(m: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m.cols, m.rows);
-    for i in 0..m.rows {
-        for j in 0..m.cols {
-            out.set(j, i, m.get(i, j));
-        }
-    }
-    out
 }
 
 /// Shrink a failing `(n, k, m)` toward minimal: repeatedly halve, then
@@ -222,16 +170,16 @@ fn strict_kernels_match_naive_bitwise() {
     run_cases("strict_kernels_match_naive_bitwise", 150, check_strict);
 }
 
-#[test]
-fn fast_kernels_within_relative_error() {
-    run_cases("fast_kernels_within_relative_error", 150, check_fast);
-}
-
-/// The classic ragged pins, explicitly: row/column vectors and widths
-/// just off the 8/32-lane boundaries, in both modes.
+/// The classic ragged pins: row/column vectors and widths just off the
+/// 8/32-lane boundaries. Then every product the default model runs,
+/// forward and backward: a layer `[rows x in]·[in x out]` gives its
+/// forward `(rows, in, out)`, its `dA = g·Wᵀ` `(rows, out, in)` and its
+/// `dW = Xᵀ·g` `(in, rows, out)`, at edge counts `E` and node counts `N`
+/// that hit every `n % 4` row remainder of the 4-row tile.
+/// (`check_strict` runs all three products at each triple.)
 #[test]
 fn ragged_shape_pins() {
-    for &(n, k, m) in &[
+    let mut shapes = vec![
         (1, 130, 1),
         (1, 1, 130),
         (130, 1, 1),
@@ -239,8 +187,24 @@ fn ragged_shape_pins() {
         (9, 7, 1),
         (3, 33, 31),
         (33, 31, 33),
-    ] {
-        check_strict(n, k, m, 42).unwrap_or_else(|op| panic!("strict {op} at {n}x{k}x{m}"));
-        check_fast(n, k, m, 42).unwrap_or_else(|msg| panic!("fast at {n}x{k}x{m}: {msg}"));
+    ];
+    for e in [797, 798, 799, 800, 1700] {
+        shapes.extend([
+            (e, 28, 24),
+            (e, 24, 28),
+            (28, e, 24),
+            (e, 56, 24),
+            (e, 24, 56),
+            (56, e, 24),
+            (e, 24, 1),
+            (24, e, 1),
+            (e, 4, 8),
+        ]);
+    }
+    for v in [201, 202, 203, 204] {
+        shapes.extend([(v, 48, 24), (v, 24, 48), (48, v, 24), (v, 6, 24)]);
+    }
+    for (n, k, m) in shapes {
+        check_strict(n, k, m, 42).unwrap_or_else(|op| panic!("{op} at {n}x{k}x{m}"));
     }
 }

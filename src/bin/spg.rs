@@ -728,16 +728,11 @@ fn bench_serve(args: BenchServeArgs) -> ExitCode {
 }
 
 fn bench_matmul(args: BenchMatmulArgs) -> ExitCode {
-    use spg::nn::{MatmulMode, Matrix};
+    use spg::nn::Matrix;
     let (n, k, m) = (args.n, args.k, args.m);
     if args.precision == spg::serve::Precision::Int8 {
         return bench_matmul_int8(&args);
     }
-    let mode = if args.fast {
-        MatmulMode::Fast
-    } else {
-        MatmulMode::Strict
-    };
     // The train-epoch bench's deterministic fill, generalised to ragged
     // shapes: small signed values so products stay well-conditioned.
     let a = Matrix::from_vec(
@@ -753,19 +748,18 @@ fn bench_matmul(args: BenchMatmulArgs) -> ExitCode {
     let mut out = Matrix::zeros(n, m);
     // Warm up: page in the buffers and settle the CPU-feature dispatch.
     for _ in 0..3 {
-        a.matmul_into_mode(&b, &mut out, mode);
+        a.matmul_into(&b, &mut out);
     }
     let start = std::time::Instant::now();
     for _ in 0..args.iters {
-        a.matmul_into_mode(&b, &mut out, mode);
+        a.matmul_into(&b, &mut out);
         std::hint::black_box(&out);
     }
     let ns_per_iter = start.elapsed().as_nanos() as f64 / args.iters as f64;
     let gflops = 2.0 * (n as f64) * (k as f64) * (m as f64) / ns_per_iter;
     println!(
-        "matmul {n}x{k}x{m} ({}): {ns_per_iter:.0} ns/iter, {gflops:.2} GFLOP/s \
+        "matmul {n}x{k}x{m} (f32): {ns_per_iter:.0} ns/iter, {gflops:.2} GFLOP/s \
          over {} iters",
-        if args.fast { "fast" } else { "strict" },
         args.iters
     );
     ExitCode::SUCCESS
@@ -773,7 +767,7 @@ fn bench_matmul(args: BenchMatmulArgs) -> ExitCode {
 
 /// Time the integer-accumulated i8×i8→i32 kernel behind the quantized
 /// serving path. The f32 operands are the same deterministic fills as
-/// the strict bench, quantized per-row exactly as inference does, so
+/// the f32 bench, quantized per-row exactly as inference does, so
 /// the shapes and value distributions match across the precision rows.
 fn bench_matmul_int8(args: &BenchMatmulArgs) -> ExitCode {
     use spg::nn::quant::{gemm_i8, padded_width, quantize_rows_i8_padded};

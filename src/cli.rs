@@ -215,8 +215,6 @@ pub struct BenchMatmulArgs {
     pub m: usize,
     /// Timed iterations.
     pub iters: usize,
-    /// Benchmark the fast-math kernels instead of the strict default.
-    pub fast: bool,
     /// Kernel precision: `f32` times the float matmul, `int8` the
     /// integer-accumulated quantized kernel.
     pub precision: Precision,
@@ -254,7 +252,7 @@ pub fn general_help() -> String {
      \x20 serve      run the long-lived allocation service (JSONL over TCP)\n\
      \x20 realloc    demo client for incremental re-allocation under drift\n\
      \x20 bench-serve  open-loop load generator against a running `spg serve`\n\
-     \x20 bench-matmul matmul kernel microbenchmark (strict or fast-math)\n\
+     \x20 bench-matmul matmul kernel microbenchmark (f32 or int8)\n\
      \n\
      run `spg <command> --help` for command options"
         .to_string()
@@ -441,15 +439,13 @@ pub fn command_help(cmd: &str) -> String {
         "bench-matmul" => "usage: spg bench-matmul [options]\n\
              \n\
              Time a matmul kernel at a given shape and print ns/iter and\n\
-             GFLOP/s. Strict (bitwise-deterministic) f32 kernels by default;\n\
-             --fast times the FMA/reassociated variants, --precision int8\n\
-             the integer-accumulated quantized kernel.\n\
+             GFLOP/s. The f32 kernel (bitwise-deterministic) by default;\n\
+             --precision int8 times the integer-accumulated quantized kernel.\n\
              \n\
              options:\n\
              \x20 --shape NxKxM  problem shape [n x k]·[k x m]; `NxK` means\n\
              \x20                NxKxN, a bare `N` means NxNxN (default 128)\n\
              \x20 --iters N      timed iterations (default 50)\n\
-             \x20 --fast         use the fast-math f32 kernels\n\
              \x20 --precision P  f32 | int8 (default f32); int8 times the\n\
              \x20                i8×i8→i32 kernel behind `spg serve --precision int8`"
             .to_string(),
@@ -904,7 +900,7 @@ impl Command {
     fn parse_bench_matmul(rest: &[String]) -> Result<Self, CliError> {
         let mut a = Args::new("bench-matmul", rest);
         let (mut n, mut k, mut m) = (128usize, 128usize, 128usize);
-        let (mut iters, mut fast) = (50usize, false);
+        let mut iters = 50usize;
         let mut precision = Precision::F32;
         while let Some(arg) = a.rest.next() {
             match arg.as_str() {
@@ -943,26 +939,17 @@ impl Command {
                         ));
                     }
                 }
-                "--fast" => fast = true,
                 "--precision" => {
                     precision = parse_num("bench-matmul", "precision", a.value("precision")?)?
                 }
                 other => return Err(a.unknown(other)),
             }
         }
-        if fast && precision == Precision::Int8 {
-            return Err(CliError::Usage(
-                "--fast applies only to the f32 kernels; drop it with --precision int8 \
-                 (see `spg bench-matmul --help`)"
-                    .to_string(),
-            ));
-        }
         Ok(Command::BenchMatmul(BenchMatmulArgs {
             n,
             k,
             m,
             iters,
-            fast,
             precision,
         }))
     }
@@ -1362,7 +1349,7 @@ mod tests {
             panic!()
         };
         assert_eq!((b.n, b.k, b.m), (128, 128, 128));
-        assert_eq!((b.iters, b.fast), (50, false));
+        assert_eq!(b.iters, 50);
 
         let Command::BenchMatmul(b) = parse("bench-matmul --shape 64").unwrap() else {
             panic!()
@@ -1372,13 +1359,12 @@ mod tests {
             panic!()
         };
         assert_eq!((b.n, b.k, b.m), (320, 28, 320));
-        let Command::BenchMatmul(b) =
-            parse("bench-matmul --shape 320x28x24 --iters 7 --fast").unwrap()
+        let Command::BenchMatmul(b) = parse("bench-matmul --shape 320x28x24 --iters 7").unwrap()
         else {
             panic!()
         };
         assert_eq!((b.n, b.k, b.m), (320, 28, 24));
-        assert_eq!((b.iters, b.fast), (7, true));
+        assert_eq!(b.iters, 7);
         assert_eq!(b.precision, Precision::F32);
 
         let Command::BenchMatmul(b) = parse("bench-matmul --precision int8 --shape 64").unwrap()
@@ -1393,7 +1379,7 @@ mod tests {
             "bench-matmul --shape 1x2x3x4",
             "bench-matmul --shape axb",
             "bench-matmul --iters 0",
-            "bench-matmul --fast --precision int8",
+            "bench-matmul --fast",
             "bench-matmul --precision fp16",
         ] {
             assert!(
