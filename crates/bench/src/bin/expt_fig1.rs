@@ -4,15 +4,15 @@
 //! falls behind the classical partitioner once graphs grow.
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_fig1`
-//! (`SPG_SCALE=paper` for full size).
+//! (add `-- --scale paper` for full size).
 
-use spg_eval::{evaluate_allocator, render_cdf_series, render_table, Protocol};
+use spg_eval::{evaluate_allocator, render_cdf_series, render_table};
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::MetisAllocator;
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let setting = Setting::Medium;
     let (_, test) = protocol.datasets(setting);
     eprintln!(

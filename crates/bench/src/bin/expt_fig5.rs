@@ -3,15 +3,16 @@
 //! GDP, Hierarchical, and Coarsen+Metis / Coarsen+Graph-enc-dec.
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_fig5`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::{CoarsenAllocator, CoarsenConfig};
-use spg_eval::{evaluate_allocator, render_cdf_series, render_table, Protocol};
+use spg_eval::{evaluate_allocator, render_cdf_series, render_table};
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::MetisAllocator;
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
 
     for (setting, title) in [

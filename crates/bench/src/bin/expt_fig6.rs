@@ -9,9 +9,10 @@
 //! * (c) transfer from large to x-large (1000–2000 nodes, 20 devices).
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_fig6`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::{CoarsenConfig, TrainOptions};
-use spg_eval::{evaluate_allocator, render_cdf_series, render_table, MethodResult, Protocol};
+use spg_eval::{evaluate_allocator, render_cdf_series, render_table, MethodResult};
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::MetisAllocator;
@@ -22,7 +23,7 @@ fn renamed(mut r: MethodResult, name: &str) -> MethodResult {
 }
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
 
     // ---- (a) medium -> large transfer ---------------------------------

@@ -8,10 +8,11 @@
 //! * (b) histogram of the number of devices actually used per graph.
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_fig7`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::CoarsenConfig;
 use spg_eval::stats::count_histogram;
-use spg_eval::{evaluate_allocator, render_cdf_series, render_table, MethodResult, Protocol};
+use spg_eval::{evaluate_allocator, render_cdf_series, render_table, MethodResult};
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::{MetisAllocator, MetisOracle};
@@ -22,7 +23,7 @@ fn renamed(mut r: MethodResult, name: &str) -> MethodResult {
 }
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
     let (_, test) = protocol.datasets(Setting::ExcessDevice);
     eprintln!(

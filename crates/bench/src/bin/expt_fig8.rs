@@ -4,16 +4,16 @@
 //! Metis throughputs per bin; the learned model pulls ahead at ratios ≥ 4x.
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_fig8`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::CoarsenConfig;
 use spg_eval::stats::{bucket_by, BoxStats};
-use spg_eval::Protocol;
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::MetisAllocator;
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
     // The paper's compression-ratio analysis needs graphs with coarsening
     // headroom; use the large setting and the curriculum-trained model.

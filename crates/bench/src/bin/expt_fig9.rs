@@ -4,15 +4,15 @@
 //! *remaining* coarse edges have lower saturation.
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_fig9`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::CoarsenConfig;
-use spg_eval::Protocol;
 use spg_gen::Setting;
 use spg_graph::{Coarsening, TupleRates, WeightedGraph};
 use spg_sim::metrics::{coarse_edge_saturations, histogram, Summary};
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
     let setting = Setting::Medium;
     let (_, test) = protocol.datasets(setting);

@@ -10,9 +10,10 @@
 //!   Coarsen+Metis (+curriculum), Coarsen+Metis-oracle (+curriculum)
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_table1`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::{CoarsenAllocator, CoarsenConfig};
-use spg_eval::{evaluate_allocator, render_table, MethodResult, Protocol};
+use spg_eval::{evaluate_allocator, render_table, MethodResult};
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::{MetisAllocator, MetisOracle};
@@ -22,7 +23,7 @@ fn block(title: &str, results: Vec<MethodResult>) {
 }
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
 
     // ---- Small graphs -------------------------------------------------

@@ -9,10 +9,11 @@
 //! * Graph-enc-dec (direct placement)
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_table2`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::pipeline::CoarsenOnlyAllocator;
 use spg_core::{CoarsenAllocator, CoarsenConfig};
-use spg_eval::{evaluate_allocator, render_table, MethodResult, Protocol};
+use spg_eval::{evaluate_allocator, render_table, MethodResult};
 use spg_gen::Setting;
 use spg_graph::Allocator;
 use spg_partition::MetisAllocator;
@@ -23,7 +24,7 @@ fn renamed(mut r: MethodResult, name: &str) -> MethodResult {
 }
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let setting = Setting::MediumFiveDevices;
     let (_, test) = protocol.datasets(setting);
     eprintln!("[table2] {} test graphs", test.graphs.len());

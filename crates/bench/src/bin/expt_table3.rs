@@ -7,9 +7,9 @@
 //! `inference_time` measures the same operations with statistical rigor.
 //!
 //! Run: `cargo run --release -p spg-bench --bin expt_table3`
+//! (add `-- --scale paper` for full size).
 
 use spg_core::CoarsenConfig;
-use spg_eval::Protocol;
 use spg_gen::Setting;
 use spg_graph::serialize::Dataset;
 use spg_graph::Allocator;
@@ -26,7 +26,7 @@ fn mean_inference_secs(alloc: &dyn Allocator, ds: &Dataset) -> f64 {
 }
 
 fn main() {
-    let protocol = Protocol::from_env();
+    let protocol = spg_bench::protocol_from_args();
     let cfg = CoarsenConfig::default();
 
     let mut columns = Vec::new();

@@ -3,8 +3,8 @@
 //! The benchmark harness: one `expt_*` binary per table/figure of the
 //! paper (see DESIGN.md's experiment index) plus Criterion microbenches.
 //!
-//! Every binary prints the same rows/series the paper reports and scales
-//! with `SPG_SCALE` (`quick` default, `paper` for full-size runs).
+//! Every binary prints the same rows/series the paper reports and takes
+//! `--scale quick|paper` (`quick` by default, `paper` for full-size runs).
 //!
 //! This library hosts the pieces the binaries share: training wrappers for
 //! the learned baselines and the standard allocator line-ups.
@@ -14,8 +14,32 @@ use rand_chacha::ChaCha8Rng;
 use spg_baselines::{GdpLite, GraphEncDec, Hierarchical, PolicyTrainOptions, PolicyTrainer};
 use spg_core::pipeline::MetisCoarsePlacer;
 use spg_core::{CoarsenAllocator, CoarsenConfig, TrainOptions};
-use spg_eval::Protocol;
+use spg_eval::{ExperimentScale, Protocol};
 use spg_gen::Setting;
+
+/// The protocol of an `expt_*` binary from its command line,
+/// `[--scale quick|paper]`. Any other argument prints usage and exits
+/// with status 2.
+pub fn protocol_from_args() -> Protocol {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_scale(&args) {
+        Ok(scale) => Protocol::new(scale),
+        Err(msg) => {
+            eprintln!("{msg}\nusage: expt_* [--scale quick|paper]");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The scale named by `[--scale quick|paper]`, `quick` when absent.
+fn parse_scale(args: &[String]) -> Result<ExperimentScale, String> {
+    match args {
+        [] => Ok(ExperimentScale::Quick),
+        [flag, name] if flag == "--scale" => ExperimentScale::parse(name)
+            .ok_or_else(|| format!("unknown scale {name:?} (expected quick or paper)")),
+        _ => Err(format!("unexpected arguments {args:?}")),
+    }
+}
 
 /// Epochs for the learned direct-placement baselines at the given scale.
 pub fn baseline_epochs(protocol: &Protocol) -> usize {
@@ -160,7 +184,29 @@ pub fn curriculum_coarsen_metis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spg_eval::ExperimentScale;
+
+    #[test]
+    fn scale_flag_defaults_to_quick_and_rejects_the_rest() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_scale(&args(&[])), Ok(ExperimentScale::Quick));
+        assert_eq!(
+            parse_scale(&args(&["--scale", "quick"])),
+            Ok(ExperimentScale::Quick)
+        );
+        assert_eq!(
+            parse_scale(&args(&["--scale", "paper"])),
+            Ok(ExperimentScale::Paper)
+        );
+        for bad in [
+            &["--scale"][..],
+            &["--scale", "full"],
+            &["--scale", "PAPER"],
+            &["paper"],
+            &["--scale", "paper", "--scale", "quick"],
+        ] {
+            assert!(parse_scale(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
 
     fn tiny_protocol() -> Protocol {
         Protocol {

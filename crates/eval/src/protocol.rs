@@ -2,11 +2,12 @@
 //!
 //! Two scales are supported:
 //!
-//! * [`ExperimentScale::Quick`] (default) — graphs scaled to a quarter of
-//!   the paper's node counts and small train/test splits, so every
+//! * [`ExperimentScale::Quick`] (default) — graphs scaled to half the
+//!   paper's node counts and small train/test splits, so every
 //!   experiment finishes in minutes on one CPU core.
 //! * [`ExperimentScale::Paper`] — the paper's dataset sizes (hundreds of
-//!   graphs, 100–2000 nodes). Select with `SPG_SCALE=paper`.
+//!   graphs, 100–2000 nodes). The `expt_*` binaries select it with
+//!   `--scale paper`.
 //!
 //! Trained coarsening models are cached as JSON checkpoints under the
 //! artifact directory so consecutive experiments share them.
@@ -24,10 +25,21 @@ use std::path::PathBuf;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Minutes-long CPU runs (quarter-size graphs, small splits).
+    /// Minutes-long CPU runs (half-size graphs, small splits).
     Quick,
     /// The paper's dataset sizes (long runs).
     Paper,
+}
+
+impl ExperimentScale {
+    /// Parse a scale name: `quick` or `paper`.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Self::Quick),
+            "paper" => Some(Self::Paper),
+            _ => None,
+        }
+    }
 }
 
 /// Shared protocol state.
@@ -42,13 +54,8 @@ pub struct Protocol {
 }
 
 impl Protocol {
-    /// Read scale from `SPG_SCALE` (`paper` for full scale), artifacts into
-    /// `target/spg-artifacts`.
-    pub fn from_env() -> Self {
-        let scale = match std::env::var("SPG_SCALE").as_deref() {
-            Ok("paper") | Ok("PAPER") | Ok("full") => ExperimentScale::Paper,
-            _ => ExperimentScale::Quick,
-        };
+    /// The protocol at `scale`, artifacts into `target/spg-artifacts`.
+    pub fn new(scale: ExperimentScale) -> Self {
         Self {
             scale,
             artifacts_dir: PathBuf::from("target/spg-artifacts"),
@@ -170,13 +177,6 @@ fn setting_slug(setting: Setting) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_scale_is_default() {
-        std::env::remove_var("SPG_SCALE");
-        let p = Protocol::from_env();
-        assert_eq!(p.scale, ExperimentScale::Quick);
-    }
 
     #[test]
     fn datasets_are_deterministic_and_split() {
