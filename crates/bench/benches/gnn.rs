@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spg_core::policy::{CoarseningPolicy, DecodeMode};
+use spg_core::policy::{priority_by_prob, CoarseningPolicy, DecodeMode};
 use spg_core::{CoarsenConfig, CoarsenModel};
 use spg_gen::{DatasetSpec, Setting};
 use spg_graph::{GraphFeatures, TupleRates};
@@ -42,11 +42,12 @@ fn bench_gnn(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("rollout_reward", &label), &g, |b, g| {
             let probs = model.predict_probs_with_features(g, &feats);
+            let priority = priority_by_prob(&probs);
             let policy = CoarseningPolicy::from_config(&model.config);
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             b.iter(|| {
                 let decisions = policy.decode(&probs, DecodeMode::Sample, &mut rng);
-                let c = policy.apply(g, &rates, &cluster, &decisions, &probs);
+                let c = policy.apply(g, &rates, &cluster, &decisions, &priority);
                 let w = c.coarse.to_weighted();
                 let mut prng = ChaCha8Rng::seed_from_u64(2);
                 let part = spg_partition::kway_partition(

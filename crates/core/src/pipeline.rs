@@ -3,7 +3,7 @@
 //! the placement back.
 
 use crate::model::CoarsenModel;
-use crate::policy::{CoarseningPolicy, DecodeMode};
+use crate::policy::{priority_by_prob, CoarseningPolicy, DecodeMode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg_graph::{
@@ -144,7 +144,8 @@ impl<P: CoarsePlacer> CoarsenAllocator<P> {
         let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let decisions = policy.decode(&probs, self.mode, &mut rng);
-        policy.apply(graph, &rates, cluster, &decisions, &probs)
+        let priority = priority_by_prob(&probs);
+        policy.apply(graph, &rates, cluster, &decisions, &priority)
     }
 }
 
@@ -171,13 +172,14 @@ impl<P: CoarsePlacer> Allocator for CoarsenAllocator<P> {
         let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
+        let priority = priority_by_prob(&probs);
         let mut candidates: Vec<Coarsening> = Vec::with_capacity(self.best_of);
         let greedy = policy.decode(&probs, DecodeMode::Greedy, &mut rng);
-        candidates.push(policy.apply(graph, &rates, cluster, &greedy, &probs));
+        candidates.push(policy.apply(graph, &rates, cluster, &greedy, &priority));
         candidates.push(Coarsening::identity(graph, &rates));
         while candidates.len() < self.best_of {
             let sampled = policy.decode(&probs, DecodeMode::Sample, &mut rng);
-            candidates.push(policy.apply(graph, &rates, cluster, &sampled, &probs));
+            candidates.push(policy.apply(graph, &rates, cluster, &sampled, &priority));
         }
 
         let mut best: Option<(f64, Placement)> = None;
@@ -230,7 +232,8 @@ impl Allocator for CoarsenOracleAllocator {
         let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let decisions = policy.decode(&probs, DecodeMode::Greedy, &mut rng);
-        let coarsening = policy.apply(graph, &rates, cluster, &decisions, &probs);
+        let priority = priority_by_prob(&probs);
+        let coarsening = policy.apply(graph, &rates, cluster, &decisions, &priority);
 
         let w = coarsening.coarse.to_weighted();
         let mut best: Option<(f64, Placement)> = None;

@@ -51,23 +51,24 @@ impl CoarseningPolicy {
     }
 
     /// Contract `graph` under `decisions`, respecting the CPU cap. Edges
-    /// are applied in descending probability so the cap keeps the most
-    /// confident merges.
+    /// are applied in `priority` order — [`priority_by_prob`] of the
+    /// decoded probabilities, descending — so the cap keeps the most
+    /// confident merges. Callers sort once and share the order across
+    /// every sample decoded from the same probabilities.
     pub fn apply(
         &self,
         graph: &StreamGraph,
         rates: &TupleRates,
         cluster: &ClusterSpec,
         decisions: &[bool],
-        probs: &[f32],
+        priority: &[u32],
     ) -> Coarsening {
         let cap = if self.max_group_cpu_factor > 0.0 {
             Some(self.max_group_cpu_factor * cluster.instr_per_sec())
         } else {
             None
         };
-        let priority = priority_by_prob(probs);
-        Coarsening::from_collapse(graph, rates, decisions, cap, Some(&priority))
+        Coarsening::from_collapse(graph, rates, decisions, cap, Some(priority))
     }
 
     /// Coarsen-only mode (Table II ablation): keep merging the
@@ -210,7 +211,8 @@ mod tests {
             max_group_cpu_factor: 1.0,
             temperature: 1.0,
         };
-        let c = policy.apply(&g, &rates, &cluster, &[true, true, true], &[0.9, 0.8, 0.7]);
+        let priority = priority_by_prob(&[0.9, 0.8, 0.7]);
+        let c = policy.apply(&g, &rates, &cluster, &[true, true, true], &priority);
         // Groups of at most 2 nodes.
         for &m in &c.coarse.members {
             assert!(m <= 2, "group of {m} nodes exceeds cap");

@@ -362,14 +362,14 @@ impl<P: CoarsePlacer> ReinforceTrainerBuilder<P> {
                 // Reward of replaying the guided decisions through our own
                 // pipeline (not of the raw Metis placement) — that is what
                 // the policy is asked to imitate.
-                let probs = vec![0.5f32; decisions.len()];
+                let priority = priority_by_prob(&vec![0.5f32; decisions.len()]);
                 let reward = rollout_reward(
                     &policy,
                     &inst.graph,
                     &inst.rates,
                     &cluster,
                     &decisions,
-                    &probs,
+                    &priority,
                     &placer,
                 );
                 inst.buffer.push(BufferedSample {
@@ -1008,7 +1008,7 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
                                 &inst.rates,
                                 cluster,
                                 &decisions,
-                                probs,
+                                priority,
                                 placer,
                             );
                             RolloutOutcome {
@@ -1246,13 +1246,13 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
         // Forward passes stay on this thread (`Rc`-shared parameters);
         // greedy decoding ignores the RNG, so nothing couples graphs.
         let mut rng = ChaCha8Rng::seed_from_u64(0xEA7_5EED);
-        let decoded: Vec<(Vec<f32>, Vec<bool>)> = graphs
+        let decoded: Vec<(Vec<u32>, Vec<bool>)> = graphs
             .iter()
             .zip(&prepared)
             .map(|(g, (_, feats))| {
                 let probs = self.model.predict_probs_with_features(g, feats);
                 let decisions = self.policy.decode(&probs, DecodeMode::Greedy, &mut rng);
-                (probs, decisions)
+                (priority_by_prob(&probs), decisions)
             })
             .collect();
         let rewards = rollout::run_ordered(workers, graphs.len(), |i| {
@@ -1270,17 +1270,18 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
     }
 }
 
-/// Coarsen with `decisions`, place the coarse graph, lift, simulate.
+/// Coarsen with `decisions` in `priority` order, place the coarse graph,
+/// lift, simulate.
 fn rollout_reward<P: CoarsePlacer>(
     policy: &CoarseningPolicy,
     graph: &StreamGraph,
     rates: &TupleRates,
     cluster: &ClusterSpec,
     decisions: &[bool],
-    probs: &[f32],
+    priority: &[u32],
     placer: &P,
 ) -> f64 {
-    let coarsening = policy.apply(graph, rates, cluster, decisions, probs);
+    let coarsening = policy.apply(graph, rates, cluster, decisions, priority);
     let coarse_placement = placer.place_coarse(&coarsening.coarse, cluster);
     let placement = Placement::lift(&coarse_placement, &coarsening.node_map);
     spg_sim::reward::relative_throughput_with_rates(graph, cluster, &placement, rates)
@@ -1477,11 +1478,12 @@ mod tests {
         let probs_a: Vec<f32> = (0..m).map(|e| 0.9 - e as f32 * (0.8 / m as f32)).collect();
         let probs_b: Vec<f32> = (0..m).map(|e| 0.6 - e as f32 * (0.5 / m as f32)).collect();
         let decisions: Vec<bool> = (0..m).map(|e| e % 3 == 0).collect();
-        let ka = rollout::collapse_key(&priority_by_prob(&probs_a), &decisions);
-        let kb = rollout::collapse_key(&priority_by_prob(&probs_b), &decisions);
+        let (pa, pb) = (priority_by_prob(&probs_a), priority_by_prob(&probs_b));
+        let ka = rollout::collapse_key(&pa, &decisions);
+        let kb = rollout::collapse_key(&pb, &decisions);
         assert_eq!(ka, kb);
-        let ra = rollout_reward(&policy, &g, &rates, &cluster, &decisions, &probs_a, &placer);
-        let rb = rollout_reward(&policy, &g, &rates, &cluster, &decisions, &probs_b, &placer);
+        let ra = rollout_reward(&policy, &g, &rates, &cluster, &decisions, &pa, &placer);
+        let rb = rollout_reward(&policy, &g, &rates, &cluster, &decisions, &pb, &placer);
         assert_eq!(ra.to_bits(), rb.to_bits());
     }
 

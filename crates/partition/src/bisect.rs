@@ -36,11 +36,14 @@ pub fn greedy_graph_growing<R: Rng>(
 
     let mut best: Option<Bisection> = None;
     for _ in 0..tries.max(1) {
+        // The region is part 0.
         let mut part = vec![1u32; n];
         let mut w0 = 0.0;
-        let mut in_region = vec![false; n];
         // gain[v] = weight to region - weight to outside (for frontier nodes)
         let mut gain = vec![0.0f64; n];
+        // A node enters the frontier at most once, on first contact, and
+        // leaves it only to join the region.
+        let mut seen = vec![false; n];
         let mut frontier: Vec<u32> = Vec::new();
 
         let seed = rng.gen_range(0..n as u32);
@@ -48,9 +51,9 @@ pub fn greedy_graph_growing<R: Rng>(
             g,
             seed,
             &mut part,
-            &mut in_region,
             &mut w0,
             &mut gain,
+            &mut seen,
             &mut frontier,
         );
 
@@ -64,16 +67,13 @@ pub fn greedy_graph_growing<R: Rng>(
                 .max_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("frontier non-empty");
             let v = frontier.swap_remove(bi);
-            if in_region[v as usize] {
-                continue;
-            }
             add_to_region(
                 g,
                 v,
                 &mut part,
-                &mut in_region,
                 &mut w0,
                 &mut gain,
+                &mut seen,
                 &mut frontier,
             );
         }
@@ -95,21 +95,21 @@ fn add_to_region(
     g: &WeightedGraph,
     v: u32,
     part: &mut [u32],
-    in_region: &mut [bool],
     w0: &mut f64,
     gain: &mut [f64],
+    seen: &mut [bool],
     frontier: &mut Vec<u32>,
 ) {
     part[v as usize] = 0;
-    in_region[v as usize] = true;
     *w0 += g.node_weight[v as usize];
     for &(u, e) in g.neighbors(v) {
-        if in_region[u as usize] {
+        if part[u as usize] == 0 {
             continue;
         }
         let w = g.edge_weight[e as usize];
-        if gain[u as usize] == 0.0 && !frontier.contains(&u) {
+        if !seen[u as usize] {
             // First contact: initialise gain with -Σ incident weight.
+            seen[u as usize] = true;
             let ext: f64 = g
                 .neighbors(u)
                 .iter()

@@ -29,7 +29,7 @@ use crate::server::{Precision, ServeConfig, ServeReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg_core::checkpoint::Checkpoint;
-use spg_core::policy::{CoarseningPolicy, DecodeMode};
+use spg_core::policy::{priority_by_prob, CoarseningPolicy, DecodeMode};
 use spg_core::{
     rollout, BatchUnion, CoarsePlacer, CoarsenModel, InferenceScratch, MetisCoarsePlacer,
     QuantizedModel,
@@ -665,7 +665,7 @@ fn place(
 ) -> (Vec<u32>, f64) {
     let mut rng = ChaCha8Rng::seed_from_u64(key);
     let decisions = policy.decode(probs, DecodeMode::Greedy, &mut rng);
-    let coarsening = policy.apply(graph, rates, cluster, &decisions, probs);
+    let coarsening = policy.apply(graph, rates, cluster, &decisions, &priority_by_prob(probs));
     let coarse = placer.place_coarse(&coarsening.coarse, cluster);
     let placement = Placement::lift(&coarse, &coarsening.node_map);
     let relative =

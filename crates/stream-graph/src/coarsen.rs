@@ -11,9 +11,8 @@
 use crate::graph::StreamGraph;
 use crate::rates::TupleRates;
 use crate::unionfind::UnionFind;
-use crate::weighted::WeightedGraph;
+use crate::weighted::{merge_edges, WeightedGraph};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The contracted form of a [`StreamGraph`].
 ///
@@ -158,18 +157,16 @@ impl Coarsening {
         }
 
         let mut internal_traffic = 0.0;
-        let mut agg: HashMap<(u32, u32), f64> = HashMap::new();
+        let mut inter = Vec::with_capacity(graph.num_edges());
         for (i, &(s, d)) in graph.edge_list().iter().enumerate() {
             let (gs, gd) = (node_map[s as usize], node_map[d as usize]);
             if gs == gd {
                 internal_traffic += traffic[i];
             } else {
-                *agg.entry((gs, gd)).or_insert(0.0) += traffic[i];
+                inter.push(((gs, gd), traffic[i]));
             }
         }
-        let mut edges: Vec<(u32, u32)> = agg.keys().copied().collect();
-        edges.sort_unstable();
-        let edge_traffic = edges.iter().map(|k| agg[k]).collect();
+        let (edges, edge_traffic) = merge_edges(inter);
 
         Self {
             node_map,

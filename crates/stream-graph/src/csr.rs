@@ -1,5 +1,4 @@
-//! Compressed sparse row adjacency used by [`crate::StreamGraph`] and
-//! [`crate::WeightedGraph`].
+//! Compressed sparse row adjacency used by [`crate::StreamGraph`].
 
 use serde::{Deserialize, Serialize};
 

@@ -7,10 +7,9 @@
 
 use crate::graph::StreamGraph;
 use crate::rates::TupleRates;
-use serde::{Deserialize, Serialize};
 
-/// An undirected weighted graph (adjacency-list form).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// An undirected weighted graph with CSR adjacency.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedGraph {
     /// Node weights (CPU demand, instructions/second).
     pub node_weight: Vec<f64>,
@@ -18,8 +17,10 @@ pub struct WeightedGraph {
     pub edges: Vec<(u32, u32)>,
     /// Edge weights (traffic, bytes/second), parallel to `edges`.
     pub edge_weight: Vec<f64>,
-    /// Adjacency: for each node, `(neighbor, edge index)` pairs.
-    adj: Vec<Vec<(u32, u32)>>,
+    /// Node `v`'s `(neighbor, edge index)` pairs are
+    /// `adj[offsets[v]..offsets[v + 1]]`, in ascending edge index.
+    offsets: Vec<u32>,
+    adj: Vec<(u32, u32)>,
 }
 
 impl WeightedGraph {
@@ -30,27 +31,36 @@ impl WeightedGraph {
         raw_edges: impl IntoIterator<Item = (u32, u32, f64)>,
     ) -> Self {
         let n = node_weight.len();
-        let mut merged: std::collections::HashMap<(u32, u32), f64> =
-            std::collections::HashMap::new();
-        for (a, b, w) in raw_edges {
-            if a == b {
-                continue;
-            }
-            let key = (a.min(b), a.max(b));
-            *merged.entry(key).or_insert(0.0) += w;
+        let (edges, edge_weight) = merge_edges(
+            raw_edges
+                .into_iter()
+                .filter(|&(a, b, _)| a != b)
+                .map(|(a, b, w)| ((a.min(b), a.max(b)), w))
+                .collect(),
+        );
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b) in &edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut edges: Vec<(u32, u32)> = merged.keys().copied().collect();
-        edges.sort_unstable();
-        let edge_weight: Vec<f64> = edges.iter().map(|k| merged[k]).collect();
-        let mut adj = vec![Vec::new(); n];
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Edges are visited in index order, so each node's slice lists its
+        // edges in ascending index.
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![(0u32, 0u32); 2 * edges.len()];
         for (i, &(a, b)) in edges.iter().enumerate() {
-            adj[a as usize].push((b, i as u32));
-            adj[b as usize].push((a, i as u32));
+            adj[cursor[a as usize] as usize] = (b, i as u32);
+            cursor[a as usize] += 1;
+            adj[cursor[b as usize] as usize] = (a, i as u32);
+            cursor[b as usize] += 1;
         }
         Self {
             node_weight,
             edges,
             edge_weight,
+            offsets,
             adj,
         }
     }
@@ -89,7 +99,7 @@ impl WeightedGraph {
     /// `(neighbor, edge index)` pairs of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[(u32, u32)] {
-        &self.adj[v as usize]
+        &self.adj[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 
     /// Total node weight.
@@ -140,6 +150,24 @@ impl WeightedGraph {
     }
 }
 
+/// Merge `(key, weight)` pairs into unique keys in ascending order. Each
+/// key's weight is summed from `0.0` in input order (a stable sort keeps
+/// equal keys in input order), so the bits do not depend on how the pairs
+/// were grouped, and a lone `-0.0` becomes `+0.0`.
+pub(crate) fn merge_edges(mut pairs: Vec<((u32, u32), f64)>) -> (Vec<(u32, u32)>, Vec<f64>) {
+    pairs.sort_by_key(|&(key, _)| key);
+    let mut keys: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
+    let mut weights: Vec<f64> = Vec::with_capacity(pairs.len());
+    for (key, w) in pairs {
+        if keys.last() != Some(&key) {
+            keys.push(key);
+            weights.push(0.0);
+        }
+        *weights.last_mut().expect("pushed with its key") += w;
+    }
+    (keys, weights)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +179,55 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.edges[0], (0, 1));
         assert!((g.edge_weight[0] - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merged_weights_sum_from_zero_in_input_order() {
+        // 1e16 + 1.0 rounds back to 1e16, so the sum depends on the order.
+        let g = WeightedGraph::new(
+            vec![1.0; 3],
+            vec![(0, 1, 1e16), (1, 2, 5.0), (1, 0, 1.0), (0, 1, -1e16)],
+        );
+        assert_eq!(g.edges, vec![(0, 1), (1, 2)]);
+        assert_eq!(g.edge_weight, vec![0.0, 5.0]);
+        let g = WeightedGraph::new(vec![1.0; 2], vec![(0, 1, 1e16), (0, 1, -1e16), (1, 0, 1.0)]);
+        assert_eq!(g.edge_weight, vec![1.0]);
+        assert_eq!(g.neighbors(0), &[(1, 0)]);
+        assert_eq!(g.neighbors(1), &[(0, 0)]);
+        // A lone -0.0 is summed from +0.0, as a fresh accumulator would.
+        let g = WeightedGraph::new(vec![1.0; 2], vec![(1, 0, -0.0)]);
+        assert_eq!(g.edge_weight[0].to_bits(), 0.0f64.to_bits());
+
+        // Long runs of equal keys, past any small-input sorting path.
+        let weights = [1e16, 1.0, -1e16, 3.0, -0.0, 1.0];
+        let raw: Vec<(u32, u32, f64)> = (0..96u32)
+            .map(|i| {
+                let (a, b) = [(0, 1), (2, 1), (1, 2), (3, 0)][(i * 7 % 4) as usize];
+                (a, b, weights[(i * 5 % 6) as usize])
+            })
+            .collect();
+        let g = WeightedGraph::new(vec![1.0; 4], raw.clone());
+        for (&(a, b), &w) in g.edges.iter().zip(&g.edge_weight) {
+            let want = raw
+                .iter()
+                .filter(|&&(x, y, _)| (x.min(y), x.max(y)) == (a, b))
+                .fold(0.0, |sum, &(_, _, w)| sum + w);
+            assert_eq!(w.to_bits(), want.to_bits(), "edge ({a}, {b})");
+        }
+    }
+
+    #[test]
+    fn neighbors_list_edges_in_ascending_index() {
+        let g = WeightedGraph::new(
+            vec![1.0; 4],
+            vec![(2, 3, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 1, 1.0)],
+        );
+        assert_eq!(g.edges, vec![(0, 2), (1, 2), (2, 3)]);
+        assert_eq!(g.neighbors(2), &[(0, 0), (1, 1), (3, 2)]);
+        assert_eq!(g.neighbors(3), &[(2, 2)]);
+        assert!(WeightedGraph::new(vec![1.0], vec![])
+            .neighbors(0)
+            .is_empty());
     }
 
     #[test]

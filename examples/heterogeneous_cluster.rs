@@ -65,7 +65,8 @@ fn main() {
         let probs = model.predict_probs_with_features(&g, &feats);
         let mut drng = ChaCha8Rng::seed_from_u64(seed);
         let decisions = policy.decode(&probs, spg::model::DecodeMode::Greedy, &mut drng);
-        let coarsening = policy.apply(&g, &rates, &homo_equiv, &decisions, &probs);
+        let priority = spg::model::policy::priority_by_prob(&probs);
+        let coarsening = policy.apply(&g, &rates, &homo_equiv, &decisions, &priority);
         let w = coarsening.coarse.to_weighted();
         let targets = cluster.capacity_shares();
         let coarse_part = spg::partition::kway_partition_targets(

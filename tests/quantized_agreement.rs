@@ -14,6 +14,7 @@ use spg::graph::{
     TupleRates,
 };
 use spg::model::pipeline::MetisCoarsePlacer;
+use spg::model::policy::priority_by_prob;
 use spg::model::{
     CoarsePlacer, CoarsenConfig, CoarsenModel, CoarseningPolicy, DecodeMode, InferenceScratch,
 };
@@ -99,7 +100,7 @@ fn rollout(
     // Greedy decoding ignores the RNG, matching the serve path.
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let decisions = policy.decode(probs, DecodeMode::Greedy, &mut rng);
-    let coarsening = policy.apply(graph, &rates, cluster, &decisions, probs);
+    let coarsening = policy.apply(graph, &rates, cluster, &decisions, &priority_by_prob(probs));
     let coarse = placer.place_coarse(&coarsening.coarse, cluster);
     let placement = Placement::lift(&coarse, &coarsening.node_map);
     let relative =
