@@ -151,9 +151,9 @@ impl WeightedGraph {
 }
 
 /// Merge `(key, weight)` pairs into unique keys in ascending order. Each
-/// key's weight is summed from `0.0` in input order (a stable sort keeps
-/// equal keys in input order), so the bits do not depend on how the pairs
-/// were grouped, and a lone `-0.0` becomes `+0.0`.
+/// key's weight is summed from `0.0` in input order (the stable sort keeps
+/// equal keys in input order), as one accumulator per key would, so a
+/// lone `-0.0` becomes `+0.0`.
 pub(crate) fn merge_edges(mut pairs: Vec<((u32, u32), f64)>) -> (Vec<(u32, u32)>, Vec<f64>) {
     pairs.sort_by_key(|&(key, _)| key);
     let mut keys: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
