@@ -139,13 +139,10 @@ pub fn curriculum_coarsen_metis(
 ) -> CoarsenAllocator<MetisCoarsePlacer> {
     use spg_core::checkpoint::Checkpoint;
     std::fs::create_dir_all(&protocol.artifacts_dir).ok();
-    let scale_tag = match protocol.scale {
-        spg_eval::ExperimentScale::Quick => "quick",
-        spg_eval::ExperimentScale::Paper => "paper",
-    };
-    let path = protocol
-        .artifacts_dir
-        .join(format!("curriculum-{tag}-{scale_tag}.json"));
+    let options = TrainOptions::new().seed(protocol.seed ^ 0xC12);
+    let slugs: Vec<&str> = settings.iter().map(|s| s.slug()).collect();
+    let name = format!("curriculum-{tag}-{}", slugs.join("-"));
+    let path = protocol.model_cache_path(&name, config, &options);
     if let Ok(ck) = Checkpoint::load(&path) {
         if ck.config == *config {
             return CoarsenAllocator::new(
@@ -171,12 +168,8 @@ pub fn curriculum_coarsen_metis(
     let mut rng = ChaCha8Rng::seed_from_u64(protocol.seed ^ 0xC11);
     let model = spg_core::CoarsenModel::new(config.clone(), &mut rng);
     let placer = MetisCoarsePlacer::new(protocol.seed ^ 0x32);
-    let (model, _history) = spg_core::curriculum::train_curriculum(
-        model,
-        &placer,
-        &levels,
-        &TrainOptions::new().seed(protocol.seed ^ 0xC12),
-    );
+    let (model, _history) =
+        spg_core::curriculum::train_curriculum(model, &placer, &levels, &options);
     Checkpoint::from_model(&model).save(&path).ok();
     CoarsenAllocator::new(model, MetisCoarsePlacer::new(protocol.seed ^ 0x31))
 }

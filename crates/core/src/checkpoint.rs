@@ -214,11 +214,61 @@ impl Checkpoint {
     }
 
     /// Read JSON from `path`.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
+    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
+        let io_err = |source| CheckpointError::Io {
+            path: path.to_path_buf(),
+            source,
+        };
         let mut buf = String::new();
-        std::io::BufReader::new(std::fs::File::open(path)?).read_to_string(&mut buf)?;
-        serde_json::from_str(&buf)
-            .map_err(|e| std::io::Error::other(format!("invalid checkpoint: {e}")))
+        std::io::BufReader::new(std::fs::File::open(path).map_err(io_err)?)
+            .read_to_string(&mut buf)
+            .map_err(io_err)?;
+        serde_json::from_str(&buf).map_err(|e| CheckpointError::Parse {
+            path: path.to_path_buf(),
+            detail: e.to_string(),
+        })
+    }
+}
+
+/// Why [`Checkpoint::load`] failed. Both variants name the file.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// The file could not be read.
+    Io {
+        /// Path that failed.
+        path: PathBuf,
+        /// Underlying I/O error.
+        source: std::io::Error,
+    },
+    /// The file is not a checkpoint: not JSON, nested too deep, the
+    /// wrong shape, or an unsupported version.
+    Parse {
+        /// Path that failed.
+        path: PathBuf,
+        /// Parser diagnostic.
+        detail: String,
+    },
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::Io { path, source } => {
+                write!(f, "failed to read checkpoint {}: {source}", path.display())
+            }
+            CheckpointError::Parse { path, detail } => {
+                write!(f, "invalid checkpoint {}: {detail}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointError::Io { source, .. } => Some(source),
+            CheckpointError::Parse { .. } => None,
+        }
     }
 }
 
@@ -527,7 +577,23 @@ mod tests {
         assert!(err.contains("invalid checkpoint"), "got: {err}");
 
         // Missing file names the OS error.
-        assert!(Checkpoint::load(&dir.join("absent.json")).is_err());
+        assert!(matches!(
+            Checkpoint::load(&dir.join("absent.json")),
+            Err(CheckpointError::Io { .. })
+        ));
+
+        // Nesting far past the parser's cap, in a field the checkpoint
+        // does not have: a named error, not a stack overflow.
+        let deep = dir.join("deep.json");
+        let junk = "[".repeat(200_000) + &"]".repeat(200_000);
+        std::fs::write(&deep, format!("{{\"junk\":{junk},{}", &json[1..])).unwrap();
+        let err = Checkpoint::load(&deep).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse { .. }), "{err:?}");
+        let err = err.to_string();
+        assert!(
+            err.contains("deep.json") && err.contains("nesting deeper than 64"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

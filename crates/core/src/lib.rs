@@ -35,7 +35,7 @@ pub mod reinforce;
 pub mod rollout;
 
 pub use checkpoint::{
-    Checkpoint, CheckpointManager, ResumeError, TrainerState, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointError, CheckpointManager, ResumeError, TrainerState, CHECKPOINT_VERSION,
 };
 pub use config::CoarsenConfig;
 pub use fault::{FaultError, FaultEvent, FaultKind, FaultPolicy, FaultStats, RecoveryAction};

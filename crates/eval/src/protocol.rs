@@ -10,7 +10,10 @@
 //!   `--scale paper`.
 //!
 //! Trained coarsening models are cached as JSON checkpoints under the
-//! artifact directory so consecutive experiments share them.
+//! artifact directory so consecutive experiments share them. A cached
+//! file's name carries everything that decides its weights (see
+//! [`Protocol::model_cache_path`]), so a changed seed, epoch count,
+//! config or option trains a new model instead of loading a stale one.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -113,6 +116,35 @@ impl Protocol {
         }
     }
 
+    /// The cache file of a model trained under this protocol: `name`
+    /// (which model, e.g. `coarsen-small-ablation`), then the scale, the
+    /// protocol seed, the epoch count and an FNV-1a digest of `config`
+    /// and `options`. `options.num_workers` is left out of the digest
+    /// because every worker count trains the same bits.
+    pub fn model_cache_path(
+        &self,
+        name: &str,
+        config: &CoarsenConfig,
+        options: &TrainOptions,
+    ) -> PathBuf {
+        let mut options = options.clone();
+        options.num_workers = 0;
+        let mut digest: u64 = 0xcbf29ce484222325;
+        for b in format!("{config:?} {options:?}").bytes() {
+            digest ^= b as u64;
+            digest = digest.wrapping_mul(0x100000001b3);
+        }
+        let scale = match self.scale {
+            ExperimentScale::Quick => "quick",
+            ExperimentScale::Paper => "paper",
+        };
+        self.artifacts_dir.join(format!(
+            "{name}-{scale}-seed{}-e{}-{digest:016x}.json",
+            self.seed,
+            self.epochs()
+        ))
+    }
+
     /// Train (or load from cache) a coarsening model on a setting's
     /// training split with the Metis placer. `tag` distinguishes variants
     /// (e.g. ablations) in the cache.
@@ -124,16 +156,8 @@ impl Protocol {
         tag: &str,
     ) -> CoarsenModel {
         std::fs::create_dir_all(&self.artifacts_dir).ok();
-        let scale_tag = match self.scale {
-            ExperimentScale::Quick => "quick",
-            ExperimentScale::Paper => "paper",
-        };
-        let path = self.artifacts_dir.join(format!(
-            "coarsen-{}-{}-{}.json",
-            setting_slug(setting),
-            scale_tag,
-            tag
-        ));
+        let name = format!("coarsen-{}-{tag}", setting_slug(setting));
+        let path = self.model_cache_path(&name, config, options);
         if let Ok(ck) = Checkpoint::load(&path) {
             if ck.config == *config {
                 return ck.into_model();
@@ -202,6 +226,52 @@ mod tests {
         let (a, _) = p.datasets(Setting::Small);
         let (b, _) = p.datasets(Setting::Medium);
         assert!(a.graphs[0] != b.graphs[0]);
+    }
+
+    #[test]
+    fn model_cache_path_keys_on_what_decides_the_model() {
+        let protocol = |seed| Protocol {
+            scale: ExperimentScale::Quick,
+            artifacts_dir: "/tmp/spg-test-art".into(),
+            seed,
+        };
+        let config = CoarsenConfig::default();
+        let options = TrainOptions::new().num_workers(1);
+        let path = protocol(1).model_cache_path("coarsen-small-x", &config, &options);
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert!(
+            name.starts_with("coarsen-small-x-quick-seed1-e30-"),
+            "{name}"
+        );
+        // Two seeds, scales, configs or option sets: two files.
+        for other in [
+            protocol(2).model_cache_path("coarsen-small-x", &config, &options),
+            Protocol {
+                scale: ExperimentScale::Paper,
+                ..protocol(1)
+            }
+            .model_cache_path("coarsen-small-x", &config, &options),
+            protocol(1).model_cache_path(
+                "coarsen-small-x",
+                &CoarsenConfig {
+                    hidden: 16,
+                    ..config.clone()
+                },
+                &options,
+            ),
+            protocol(1).model_cache_path("coarsen-small-x", &config, &options.clone().lr(2e-3)),
+            protocol(1).model_cache_path("coarsen-small-x", &config, &options.clone().seed(5)),
+        ] {
+            assert_ne!(path, other);
+        }
+        // Two worker counts train the same bits: one file.
+        for workers in [2, 4] {
+            let options = options.clone().num_workers(workers);
+            assert_eq!(
+                path,
+                protocol(1).model_cache_path("coarsen-small-x", &config, &options)
+            );
+        }
     }
 
     #[test]

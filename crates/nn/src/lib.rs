@@ -11,7 +11,8 @@
 //! * [`Tape`] — a gradient tape: forward ops append nodes, `backward`
 //!   walks them in reverse. Graph-structured ops (row gather, segment
 //!   mean) make GNN message passing differentiable.
-//! * [`tanh`] — the one f32 tanh (fdlibm port + AVX2 kernel, bit-identical).
+//! * [`tanh`] — the one f32 tanh (fdlibm port + AVX2 and AVX-512 kernels,
+//!   bit-identical).
 //! * [`Param`] / [`Adam`] — trainable parameters with Adam state.
 //! * [`layers`] — `Linear`, `Mlp`, `LstmCell` built on the tape.
 //!

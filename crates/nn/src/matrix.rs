@@ -298,6 +298,9 @@ pub(crate) mod x86 {
 
     pub const LVL_SSE2: u8 = 2;
     pub const LVL_AVX2: u8 = 3;
+    /// AVX2 plus AVX-512F and DQ: only the tanh kernel has a tier here;
+    /// every other kernel runs its AVX2 tier.
+    pub const LVL_AVX512: u8 = 4;
     const LVL_NONE: u8 = 1;
     const LVL_UNKNOWN: u8 = 0;
 
@@ -308,7 +311,11 @@ pub(crate) mod x86 {
         match LEVEL.load(Ordering::Relaxed) {
             LVL_UNKNOWN => {
                 let l = if is_x86_feature_detected!("avx2") {
-                    LVL_AVX2
+                    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                        LVL_AVX512
+                    } else {
+                        LVL_AVX2
+                    }
                 } else if is_x86_feature_detected!("sse2") {
                     LVL_SSE2
                 } else {

@@ -324,6 +324,10 @@ fn run_connection(
     }
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    // Each request is one write; without nodelay a request sent while
+    // the previous one is unacknowledged waits for the server's delayed
+    // ACK, and the run measures that stall instead of the server.
+    stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
     // id → (graph index, scheduled send time), precomputed so the reader
     // can match responses while the writer is still pacing sends. The
@@ -387,14 +391,13 @@ fn run_connection(
                 v: None,
                 deadline_ms: None,
             };
+            let mut line = req.to_line();
+            line.push('\n');
             // A send failure means the server cut this connection
             // (possibly by injected fault). Stop sending — the reader
             // sees EOF and classifies everything still pending as
             // short reads — instead of failing the whole bench.
-            if out.write_all(req.to_line().as_bytes()).is_err()
-                || out.write_all(b"\n").is_err()
-                || out.flush().is_err()
-            {
+            if out.write_all(line.as_bytes()).is_err() {
                 break;
             }
         }

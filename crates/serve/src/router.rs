@@ -354,6 +354,9 @@ pub(crate) fn io_loop(
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
+            // Best effort: responses go out as soon as they are written,
+            // not after the client's delayed ACK of the previous one.
+            let _ = stream.set_nodelay(true);
             sink.counter("serve.connections", 1);
             router.stats.connections += 1;
             next_conn_id += 1;

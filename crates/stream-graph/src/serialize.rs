@@ -416,6 +416,29 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_parse_error_naming_the_path() {
+        let json = serde_json::to_string(&tiny_dataset()).unwrap();
+        let with_junk = |depth: usize| {
+            let junk = "[".repeat(depth) + &"]".repeat(depth);
+            format!("{{\"junk\":{junk},{}", &json[1..])
+        };
+        // Deep enough that unbounded recursion would overflow the stack.
+        let path = save_text("deep", &with_junk(200_000));
+        let err = Dataset::load(&path).unwrap_err();
+        assert!(matches!(err, DatasetError::Parse { .. }), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("deep.json") && text.contains("nesting deeper than 64"),
+            "{text}"
+        );
+        std::fs::remove_file(&path).ok();
+        // The top-level object plus 63 arrays is within the cap.
+        let path = save_text("deep-63", &with_junk(63));
+        assert_eq!(Dataset::load(&path).unwrap().graphs, tiny_dataset().graphs);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn dangling_edge_endpoint_is_rejected() {
         let json = serde_json::to_string(&tiny_dataset()).unwrap();
         // Point the first graph's edge at a node that does not exist.

@@ -8,10 +8,12 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 # The workspace tests below run in debug; these check the unsafe matmul
-# kernels bitwise against the naive loop, and the unsafe FM move
+# kernels bitwise against the naive loop, every tanh tier against the
+# scalar fdlibm port and glibc's golden bits, and the unsafe FM move
 # selection against its scalar oracle and the pinned partitions, in the
 # optimised codegen that ships.
 cargo test --release -q -p spg-nn --test matmul_property
+cargo test --release -q --test tanh_bits
 cargo test --release -q --test partition_bits
 cargo test --release -q -p spg-partition
 # The root manifest's default-members cover every crate, so this runs

@@ -71,7 +71,8 @@ fn load_dataset(path: &Path) -> Result<Dataset, ExitCode> {
 
 fn load_checkpoint(path: &Path) -> Result<Checkpoint, ExitCode> {
     Checkpoint::load(path).map_err(|e| {
-        eprintln!("failed to read {}: {e}", path.display());
+        // The error names the offending path.
+        eprintln!("{e}");
         ExitCode::FAILURE
     })
 }

@@ -1,15 +1,19 @@
-//! The forward's tanh is bit-exact. The AVX2 kernel must return the
-//! scalar fdlibm port's bits for every input (its lanes run the same
-//! single-precision operations), and the port must return the bits of
-//! the golden table below, captured from glibc 2.36's `tanhf` — the
-//! function whose outputs the pinned f32 forwards were first produced
-//! with. The table keeps those pins independent of the host's libm.
+//! The forward's tanh is bit-exact. Every slice kernel the CPU can run
+//! (the scalar fdlibm port, and the AVX2 and AVX-512 tiers where
+//! present) must return the port's per-element bits for every input
+//! (the vector lanes run the same single-precision operations), and the
+//! port must return the bits of the golden table below, captured from
+//! glibc 2.36's `tanhf` — the function whose outputs the pinned f32
+//! forwards were first produced with. The table keeps those pins
+//! independent of the host's libm. `tanh_in_place` dispatches to the
+//! widest tier only, so each tier is called directly through
+//! [`tiers`].
 //!
 //! The exhaustive 2^32 comparison against the host's `f32::tanh` is
 //! `#[ignore]`d; run it in release mode:
 //! `cargo test --release --test tanh_bits -- --ignored`.
 
-use spg::nn::tanh::{tanh_in_place, tanhf};
+use spg::nn::tanh::{tanh_in_place, tanhf, tiers, Kernel};
 use std::f32::consts::LN_2;
 
 /// `(input bits, glibc tanhf output bits)`, at least one per branch of
@@ -59,21 +63,36 @@ const GOLDEN: [(u32, u32); 42] = [
     (0xff800001, 0xffc00001), // signalling NaN, negative
 ];
 
-/// Run `inputs` through the slice kernel in consecutive slices of `len`
-/// (the last may be shorter) and compare every output with [`tanhf`].
-fn assert_kernel_matches_port(inputs: &[f32], len: usize) {
+/// Written before and after each slice a kernel runs on; a kernel that
+/// stores past its slice turns it into tanh(0.5) ≠ 0.5.
+const GUARD: f32 = 0.5;
+
+/// Run `inputs` through `kernel` in consecutive slices of `len` (the
+/// last may be shorter), each inside a guarded buffer, and compare every
+/// output with [`tanhf`].
+fn assert_tier_matches_port(tier: &str, kernel: Kernel, inputs: &[f32], len: usize) {
+    let mut buf = Vec::with_capacity(len + 2);
     for chunk in inputs.chunks(len) {
-        let mut out = chunk.to_vec();
-        tanh_in_place(&mut out);
-        for (&x, &y) in chunk.iter().zip(&out) {
+        buf.clear();
+        buf.push(GUARD);
+        buf.extend_from_slice(chunk);
+        buf.push(GUARD);
+        kernel(&mut buf[1..=chunk.len()]);
+        for (&x, &y) in chunk.iter().zip(&buf[1..]) {
             assert_eq!(
                 y.to_bits(),
                 tanhf(x).to_bits(),
-                "x = {x:e} ({:#010x}) in a slice of {}",
+                "{tier}: x = {x:e} ({:#010x}) in a slice of {}",
                 x.to_bits(),
                 chunk.len()
             );
         }
+        assert_eq!(
+            (buf[0], buf[chunk.len() + 1]),
+            (GUARD, GUARD),
+            "{tier} wrote outside a slice of {}",
+            chunk.len()
+        );
     }
 }
 
@@ -105,6 +124,20 @@ fn edge_inputs() -> Vec<f32> {
         inputs.extend(around(m * LN_2 / 2.0, 64));
     }
     inputs.extend(around(0.0, 3)); // ±0 and the smallest subnormals
+
+    // Inputs whose bits change if expm1's `1 + hxs * (Q1 + ...)` is
+    // contracted to a fused multiply-add: 70 of the 2^32 inputs do, too
+    // few for the strided sweep to meet one.
+    for bits in [
+        0x3dc2_562e,
+        0x3df7_ab22,
+        0x3e0d_4d10,
+        0x3e20_e9cd,
+        0x3e42_c9b2,
+        0x3e6d_aba9,
+    ] {
+        inputs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+    }
     for bits in [
         0x0040_0000, // mid subnormal
         0x007f_ffff, // largest subnormal
@@ -120,18 +153,23 @@ fn edge_inputs() -> Vec<f32> {
 }
 
 #[test]
-fn avx2_kernel_matches_scalar_port_bitwise() {
-    if !std::is_x86_feature_detected!("avx2") {
-        eprintln!("no AVX2 here: the slice kernel is the scalar port itself");
-    }
+fn every_tier_matches_scalar_port_bitwise() {
+    let tiers = tiers();
+    eprintln!(
+        "tanh tiers on this CPU: {:?}",
+        tiers.iter().map(|&(name, _)| name).collect::<Vec<_>>()
+    );
     // A strided sweep over all 2^32 bit patterns (~2^22 of them).
     let sweep: Vec<f32> = (0..=u32::MAX).step_by(1031).map(f32::from_bits).collect();
-    assert_kernel_matches_port(&sweep, 4096);
-    // Branch edges at every slice length 1..=17: 8-lane bodies, the
-    // scalar tail, and slices with no vector body at all.
+    // Branch edges at every slice length 1..=40: 8- and 16-lane bodies,
+    // scalar and masked tails, and slices with no full vector at all.
     let edges = edge_inputs();
-    for len in 1..=17 {
-        assert_kernel_matches_port(&edges, len);
+    for &(tier, kernel) in &tiers {
+        assert_tier_matches_port(tier, kernel, &sweep, 4096);
+        for len in 1..=40 {
+            assert_tier_matches_port(tier, kernel, &edges, len);
+        }
+        kernel(&mut []);
     }
     tanh_in_place(&mut []);
 }
@@ -147,50 +185,66 @@ fn port_and_kernel_reproduce_glibc_golden_bits() {
             x.to_bits()
         );
     }
-    // The whole table through the slice kernel, at every alignment of
-    // the 8-lane body against the table.
+    // The whole table through each slice kernel and the dispatch, at
+    // every alignment of a 16-lane body against the table.
     let xs: Vec<f32> = GOLDEN.iter().map(|&(x, _)| f32::from_bits(x)).collect();
-    for start in 0..8 {
-        let mut out = xs[start..].to_vec();
-        tanh_in_place(&mut out);
-        for (&(x, y), &got) in GOLDEN[start..].iter().zip(&out) {
-            assert_eq!(got.to_bits(), y, "slice kernel at {x:#010x}");
+    let dispatched: (&str, Kernel) = ("dispatch", tanh_in_place);
+    for (tier, kernel) in tiers().into_iter().chain([dispatched]) {
+        for start in 0..16 {
+            let mut out = xs[start..].to_vec();
+            kernel(&mut out);
+            for (&(x, y), &got) in GOLDEN[start..].iter().zip(&out) {
+                assert_eq!(got.to_bits(), y, "{tier} at {x:#010x}, offset {start}");
+            }
         }
     }
 }
 
-/// All 2^32 inputs, kernel and port against the host's `f32::tanh`.
-/// ~1-2 minutes in release mode on 2 threads.
+/// All 2^32 inputs, every tier and the port against the host's
+/// `f32::tanh`. About a minute in release mode on 2 threads.
 #[test]
 #[ignore = "exhaustive; run with --release -- --ignored"]
 fn exhaustive_match_with_host_libm() {
     const BLOCK: u64 = 1 << 16;
+    let tiers = tiers();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     let mismatches: u64 = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|w| {
+                let tiers = &tiers;
                 s.spawn(move || {
                     let mut bad = 0u64;
+                    let mut want = vec![0u32; BLOCK as usize];
                     let mut buf = vec![0.0f32; BLOCK as usize];
                     let mut start = w * BLOCK;
                     while start < 1 << 32 {
-                        for (i, v) in buf.iter_mut().enumerate() {
-                            *v = f32::from_bits((start + i as u64) as u32);
+                        let x = |i: usize| f32::from_bits((start + i as u64) as u32);
+                        for (i, w) in want.iter_mut().enumerate() {
+                            *w = x(i).tanh().to_bits();
                         }
-                        tanh_in_place(&mut buf);
-                        for (i, &y) in buf.iter().enumerate() {
-                            let x = f32::from_bits((start + i as u64) as u32);
-                            let want = x.tanh().to_bits();
-                            if y.to_bits() != want || tanhf(x).to_bits() != want {
+                        let mut report = |what: &str, i: usize, got: f32| {
+                            if got.to_bits() != want[i] {
                                 if bad < 8 {
                                     eprintln!(
-                                        "x {:#010x}: kernel {:#010x}, port {:#010x}, libm {want:#010x}",
-                                        x.to_bits(),
-                                        y.to_bits(),
-                                        tanhf(x).to_bits()
+                                        "x {:#010x}: {what} {:#010x}, libm {:#010x}",
+                                        x(i).to_bits(),
+                                        got.to_bits(),
+                                        want[i]
                                     );
                                 }
                                 bad += 1;
+                            }
+                        };
+                        for i in 0..BLOCK as usize {
+                            report("tanhf", i, tanhf(x(i)));
+                        }
+                        for &(tier, kernel) in tiers {
+                            for (i, v) in buf.iter_mut().enumerate() {
+                                *v = x(i);
+                            }
+                            kernel(&mut buf);
+                            for (i, &y) in buf.iter().enumerate() {
+                                report(tier, i, y);
                             }
                         }
                         start += threads * BLOCK;
@@ -203,6 +257,6 @@ fn exhaustive_match_with_host_libm() {
     });
     assert_eq!(
         mismatches, 0,
-        "inputs whose tanh bits differ from the host libm"
+        "tier outputs whose tanh bits differ from the host libm"
     );
 }
