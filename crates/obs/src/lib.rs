@@ -705,6 +705,76 @@ mod tests {
     }
 
     #[test]
+    fn event_line_bytes_are_pinned() {
+        let name = || "q\"b\\s\n\r\t\u{1}é/".to_string();
+        let cases = [
+            (
+                Event::SpanOpen {
+                    t_us: 12,
+                    name: "epoch".into(),
+                    depth: 0,
+                },
+                r#"{"t_us":12,"ev":"span_open","name":"epoch","depth":0}"#,
+            ),
+            (
+                Event::SpanClose {
+                    t_us: 9317,
+                    name: name(),
+                    depth: 3,
+                    dur_us: 9305,
+                },
+                r#"{"t_us":9317,"ev":"span_close","name":"q\"b\\s\n\r\t\u0001é/","depth":3,"dur_us":9305}"#,
+            ),
+            (
+                Event::Counter {
+                    t_us: u64::MAX,
+                    name: "cache.hits".into(),
+                    value: 18_446_744_073_709_551_615,
+                },
+                r#"{"t_us":18446744073709551615,"ev":"counter","name":"cache.hits","value":18446744073709551615}"#,
+            ),
+            (
+                Event::Gauge {
+                    t_us: 1,
+                    name: name(),
+                    value: f64::NAN,
+                },
+                r#"{"t_us":1,"ev":"gauge","name":"q\"b\\s\n\r\t\u0001é/","value":null}"#,
+            ),
+            (
+                Event::Gauge {
+                    t_us: 2,
+                    name: "reward.mean".into(),
+                    value: -0.1,
+                },
+                r#"{"t_us":2,"ev":"gauge","name":"reward.mean","value":-0.1}"#,
+            ),
+            (
+                Event::Hist {
+                    t_us: 421,
+                    name: "rollout.sample_us".into(),
+                    value: 1e300,
+                },
+                &format!(
+                    r#"{{"t_us":421,"ev":"hist","name":"rollout.sample_us","value":1{}}}"#,
+                    "0".repeat(300)
+                ),
+            ),
+            (
+                Event::Hist {
+                    t_us: 0,
+                    name: String::new(),
+                    value: f64::NEG_INFINITY,
+                },
+                r#"{"t_us":0,"ev":"hist","name":"","value":null}"#,
+            ),
+        ];
+        for (event, line) in &cases {
+            assert_eq!(event.to_json_line(), *line);
+        }
+    }
+
+    #[test]
     fn string_escapes_roundtrip() {
         let ev = Event::Gauge {
             t_us: 0,
