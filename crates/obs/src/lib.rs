@@ -1,8 +1,9 @@
 //! # spg-obs
 //!
-//! Zero-dependency observability for training and simulation: hierarchical
-//! spans with monotonic wall-clock timing, named counters / gauges /
-//! histograms, and a JSONL event sink.
+//! Observability for training and simulation: hierarchical spans with
+//! monotonic wall-clock timing, named counters / gauges / histograms, and
+//! a JSONL event sink. Its only dependencies are the std-only `serde` and
+//! `serde_json` shims, which read and write the event lines.
 //!
 //! Design constraints (enforced by tests in `spg` / `spg-core`):
 //!
@@ -37,6 +38,7 @@
 //! Counters carry additive deltas; gauges carry absolute values;
 //! histograms carry one observation per event.
 
+use serde::{Deserialize, Value};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,32 +107,10 @@ pub enum Event {
     },
 }
 
-/// Write an `f64` as JSON (non-finite values become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escape a string for a JSON string literal (quotes included).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `value` as JSON text: a string quoted and escaped, a non-finite
+/// float as `null`.
+fn json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("strings and floats always render")
 }
 
 impl Event {
@@ -139,7 +119,7 @@ impl Event {
         match self {
             Event::SpanOpen { t_us, name, depth } => format!(
                 "{{\"t_us\":{t_us},\"ev\":\"span_open\",\"name\":{},\"depth\":{depth}}}",
-                json_str(name)
+                json(name)
             ),
             Event::SpanClose {
                 t_us,
@@ -148,64 +128,62 @@ impl Event {
                 dur_us,
             } => format!(
                 "{{\"t_us\":{t_us},\"ev\":\"span_close\",\"name\":{},\"depth\":{depth},\"dur_us\":{dur_us}}}",
-                json_str(name)
+                json(name)
             ),
             Event::Counter { t_us, name, value } => format!(
                 "{{\"t_us\":{t_us},\"ev\":\"counter\",\"name\":{},\"value\":{value}}}",
-                json_str(name)
+                json(name)
             ),
             Event::Gauge { t_us, name, value } => format!(
                 "{{\"t_us\":{t_us},\"ev\":\"gauge\",\"name\":{},\"value\":{}}}",
-                json_str(name),
-                json_f64(*value)
+                json(name),
+                json(value)
             ),
             Event::Hist { t_us, name, value } => format!(
                 "{{\"t_us\":{t_us},\"ev\":\"hist\",\"name\":{},\"value\":{}}}",
-                json_str(name),
-                json_f64(*value)
+                json(name),
+                json(value)
             ),
         }
     }
 
-    /// Parse one JSONL line back into an [`Event`]. Errors name what was
+    /// Parse one JSONL line back into an [`Event`]. The line is read by
+    /// `serde_json`, so it may be any JSON object: fields the schema does
+    /// not name are skipped, whatever they hold. Errors name what was
     /// malformed or missing.
     pub fn parse(line: &str) -> Result<Event, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&Scalar, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{key}`"))
-        };
-        let name = get("name")?.as_str()?.to_string();
-        let t_us = get("t_us")?.as_u64()?;
-        match get("ev")?.as_str()? {
+        fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, String> {
+            v.field(key).and_then(T::deserialize).map_err(|e| e.0)
+        }
+        let v: Value = serde_json::from_str(line).map_err(|e| e.0)?;
+        let name = field(&v, "name")?;
+        let t_us = field(&v, "t_us")?;
+        match field::<String>(&v, "ev")?.as_str() {
             "span_open" => Ok(Event::SpanOpen {
                 t_us,
                 name,
-                depth: get("depth")?.as_u64()?,
+                depth: field(&v, "depth")?,
             }),
             "span_close" => Ok(Event::SpanClose {
                 t_us,
                 name,
-                depth: get("depth")?.as_u64()?,
-                dur_us: get("dur_us")?.as_u64()?,
+                depth: field(&v, "depth")?,
+                dur_us: field(&v, "dur_us")?,
             }),
             "counter" => Ok(Event::Counter {
                 t_us,
                 name,
-                value: get("value")?.as_u64()?,
+                value: field(&v, "value")?,
             }),
             "gauge" => Ok(Event::Gauge {
                 t_us,
                 name,
-                value: get("value")?.as_f64()?,
+                value: field(&v, "value")?,
             }),
             "hist" => Ok(Event::Hist {
                 t_us,
                 name,
-                value: get("value")?.as_f64()?,
+                value: field(&v, "value")?,
             }),
             other => Err(format!("unknown event kind `{other}`")),
         }
@@ -219,155 +197,6 @@ impl Event {
             | Event::Counter { name, .. }
             | Event::Gauge { name, .. }
             | Event::Hist { name, .. } => name,
-        }
-    }
-}
-
-/// A scalar field of a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    /// A JSON string (unescaped).
-    Str(String),
-    /// A JSON number, kept as literal text.
-    Num(String),
-    /// JSON `null` (non-finite gauge/hist values).
-    Null,
-}
-
-impl Scalar {
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Scalar::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Scalar::Num(t) => t.parse().map_err(|_| format!("invalid integer `{t}`")),
-            other => Err(format!("expected integer, got {other:?}")),
-        }
-    }
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Scalar::Num(t) => t.parse().map_err(|_| format!("invalid number `{t}`")),
-            Scalar::Null => Ok(f64::NAN),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-}
-
-/// Parse a single-line flat JSON object (`{"k":scalar,...}`) — the full
-/// event schema; nested containers are rejected.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let bytes = line.trim().as_bytes();
-    let mut pos = 0usize;
-    let mut fields = Vec::new();
-
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    };
-    let expect = |pos: &mut usize, b: u8| -> Result<(), String> {
-        if *pos < bytes.len() && bytes[*pos] == b {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, *pos))
-        }
-    };
-    let parse_string = |pos: &mut usize| -> Result<String, String> {
-        expect(pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = bytes.get(*pos) else {
-                return Err("unterminated string".to_string());
-            };
-            *pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = bytes.get(*pos) else {
-                        return Err("dangling escape".to_string());
-                    };
-                    *pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = bytes
-                                .get(*pos..*pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            *pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                b => out.push(b as char),
-            }
-        }
-    };
-
-    skip_ws(&mut pos);
-    expect(&mut pos, b'{')?;
-    skip_ws(&mut pos);
-    if pos < bytes.len() && bytes[pos] == b'}' {
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut pos);
-        let key = parse_string(&mut pos)?;
-        skip_ws(&mut pos);
-        expect(&mut pos, b':')?;
-        skip_ws(&mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => Scalar::Str(parse_string(&mut pos)?),
-            Some(b'n') => {
-                if bytes.get(pos..pos + 4) == Some(b"null") {
-                    pos += 4;
-                    Scalar::Null
-                } else {
-                    return Err(format!("invalid token at byte {pos}"));
-                }
-            }
-            Some(_) => {
-                let start = pos;
-                while pos < bytes.len() && !matches!(bytes[pos], b',' | b'}') {
-                    pos += 1;
-                }
-                let text = std::str::from_utf8(&bytes[start..pos])
-                    .map_err(|_| "invalid utf8 in number")?
-                    .trim()
-                    .to_string();
-                if text.parse::<f64>().is_err() {
-                    return Err(format!("invalid number `{text}` for field `{key}`"));
-                }
-                Scalar::Num(text)
-            }
-            None => return Err("truncated object".to_string()),
-        };
-        fields.push((key, value));
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                skip_ws(&mut pos);
-                if pos != bytes.len() {
-                    return Err(format!("trailing characters at byte {pos}"));
-                }
-                return Ok(fields);
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
         }
     }
 }
@@ -809,8 +638,49 @@ mod tests {
             "{\"t_us\":1,\"ev\":\"nope\",\"name\":\"x\"}", // unknown kind
             "{\"t_us\":\"x\",\"ev\":\"gauge\",\"name\":\"g\",\"value\":1}", // bad t_us
             "{\"t_us\":1,\"ev\":\"gauge\",\"name\":\"g\",\"value\":1}}", // trailing
+            // Numbers are JSON numbers, not anything `f64::from_str` takes.
+            "{\"t_us\":1,\"ev\":\"gauge\",\"name\":\"g\",\"value\":inf}",
+            "{\"t_us\":1,\"ev\":\"gauge\",\"name\":\"g\",\"value\":NaN}",
+            "{\"t_us\":1,\"ev\":\"gauge\",\"name\":\"g\",\"value\":+1}",
+            "{\"t_us\":1,\"ev\":\"gauge\",\"name\":\"g\",\"value\":.5}",
+            "{\"t_us\":+1,\"ev\":\"counter\",\"name\":\"c\",\"value\":1}",
+            // Only JSON whitespace surrounds a line.
+            "\u{a0}{\"t_us\":1,\"ev\":\"counter\",\"name\":\"c\",\"value\":1}",
+            "{\"t_us\":1,\"ev\":\"counter\",\"name\":\"c\",\"value\":1}\u{2003}",
         ] {
             assert!(Event::parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn parse_reads_any_json_object() {
+        let gauge = |name: &str| Event::Gauge {
+            t_us: 1,
+            name: name.into(),
+            value: 0.5,
+        };
+        for (line, event) in [
+            // Every JSON escape, and raw multibyte UTF-8.
+            (
+                r#"{"t_us":1,"ev":"gauge","name":"a\/b\b\fé","value":0.5}"#,
+                gauge("a/b\u{8}\u{c}é"),
+            ),
+            (
+                r#"{"t_us":1,"ev":"gauge","name":"réseau","value":0.5}"#,
+                gauge("réseau"),
+            ),
+            // Unknown fields are skipped whatever they hold.
+            (
+                r#"{"x":[1,{"y":[]}],"t_us":1,"z":{"k":null},"ev":"gauge","w":true,"name":"g","value":0.5}"#,
+                gauge("g"),
+            ),
+            // JSON whitespace anywhere between tokens.
+            (
+                " \t{ \"t_us\" : 1 ,\r\n\"ev\":\"gauge\", \"name\":\"g\" ,\"value\": 5e-1 }\n",
+                gauge("g"),
+            ),
+        ] {
+            assert_eq!(Event::parse(line), Ok(event), "{line}");
         }
     }
 

@@ -26,8 +26,10 @@
 //! One single-pass scanner (`crate::wire_fast`) reads every request
 //! line, builds no `Value` tree, and is the authority for what a line
 //! may hold; its accept-set is listed there and pinned by
-//! `tests/wire_accept_set.rs`. Responses and the cold paths (datasets,
-//! checkpoints) keep the generic `serde_json` codec.
+//! `tests/wire_accept_set.rs`. It is the request walk over
+//! `serde_json::lex`, the lexer that `serde_json::from_str` also reads
+//! with, so responses and the cold paths (datasets, checkpoints) take
+//! the same JSON through the generic `Value` codec.
 //!
 //! ## Versioning
 //!
@@ -649,7 +651,7 @@ mod tests {
             assert_eq!(err.code(), "bad-request", "line {line:.80?} gave {err}");
         }
         // Just under the cap is still fine.
-        let nested = (crate::wire_fast::MAX_DEPTH - 1) as usize;
+        let nested = (serde_json::lex::MAX_DEPTH - 1) as usize;
         let line = format!(
             r#"{{"id":"x",{graph},"note":{}{}}}"#,
             "[".repeat(nested),
