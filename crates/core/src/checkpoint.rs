@@ -213,7 +213,9 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Read JSON from `path`.
+    /// Read JSON from `path`, and refuse a file whose matrices do not fit
+    /// its config, so that [`Self::into_model`] cannot panic on what
+    /// `load` returns.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let io_err = |source| CheckpointError::Io {
             path: path.to_path_buf(),
@@ -223,10 +225,56 @@ impl Checkpoint {
         std::io::BufReader::new(std::fs::File::open(path).map_err(io_err)?)
             .read_to_string(&mut buf)
             .map_err(io_err)?;
-        serde_json::from_str(&buf).map_err(|e| CheckpointError::Parse {
+        let parse_err = |detail| CheckpointError::Parse {
             path: path.to_path_buf(),
-            detail: e.to_string(),
-        })
+            detail,
+        };
+        let ckpt: Self = serde_json::from_str(&buf).map_err(|e| parse_err(e.to_string()))?;
+        ckpt.check_shapes().map_err(parse_err)?;
+        Ok(ckpt)
+    }
+
+    /// The first way the matrices do not fit, if any: a matrix (parameter
+    /// or Adam moment) whose data is not rows × cols values, or parameters
+    /// that differ in count or shape from the ones `config` registers.
+    /// Moment shapes are checked against the trainer by
+    /// [`crate::reinforce::ReinforceTrainer::resume_from`].
+    fn check_shapes(&self) -> Result<(), String> {
+        let moments = self
+            .trainer
+            .iter()
+            .flat_map(|t| [("adam_m", &t.adam_m), ("adam_v", &t.adam_v)]);
+        for (what, mats) in [("params", &self.params)].into_iter().chain(moments) {
+            for (i, m) in mats.iter().enumerate() {
+                if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
+                    return Err(format!(
+                        "{what}[{i}] is {}x{} but holds {} values",
+                        m.rows,
+                        m.cols,
+                        m.data.len()
+                    ));
+                }
+            }
+        }
+        let model = CoarsenModel::new(self.config.clone(), &mut ChaCha8Rng::seed_from_u64(0));
+        let expected = model.params().params();
+        if self.params.len() != expected.len() {
+            return Err(format!(
+                "{} params, but the config has {}",
+                self.params.len(),
+                expected.len()
+            ));
+        }
+        for (i, (m, p)) in self.params.iter().zip(expected).enumerate() {
+            let (rows, cols) = p.shape();
+            if (m.rows, m.cols) != (rows, cols) {
+                return Err(format!(
+                    "params[{i}] is {}x{}, but the config has {rows}x{cols}",
+                    m.rows, m.cols
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -241,7 +289,8 @@ pub enum CheckpointError {
         source: std::io::Error,
     },
     /// The file is not a checkpoint: not JSON, nested too deep, the
-    /// wrong shape, or an unsupported version.
+    /// wrong shape, an unsupported version, or matrices that do not fit
+    /// its config.
     Parse {
         /// Path that failed.
         path: PathBuf,
