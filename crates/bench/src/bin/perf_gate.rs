@@ -207,7 +207,8 @@ fn main() -> ExitCode {
         } else {
             "ok"
         };
-        println!("perf_gate: {name}: {b:.0} -> {n:.0} ({delta_pct:+.1}%) {verdict}");
+        // As recorded: serve latencies are fractions of a millisecond.
+        println!("perf_gate: {name}: {b} -> {n} ({delta_pct:+.1}%) {verdict}");
     }
     if regressions == 0 {
         println!(
