@@ -6,6 +6,13 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# The vendored shims are path dependencies outside the workspace, so the
+# steps above and `cargo test -q` below skip them. serde_json holds the
+# JSON lexer every reader is built on (`serde_json::lex`): check its
+# format and lints, and run the shims' own tests.
+rustfmt --edition 2021 --check vendor/serde_json/src/*.rs
+cargo clippy -p serde_json --all-targets -- -D warnings
+cargo test -q -p serde_json -p serde -p rand -p rand_chacha -p proptest -p criterion
 cargo build --release
 # The workspace tests below run in debug; these check the unsafe matmul
 # kernels bitwise against the naive loop, every tanh tier against the
@@ -31,6 +38,34 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 "$SPG" report "$SMOKE_DIR/metrics.jsonl"
 "$SPG" evaluate --dataset "$SMOKE_DIR/ds.json" --model "$SMOKE_DIR/model.json"
 echo "e2e smoke OK"
+
+# Run a command that must exit exactly 1: a refusal, not a panic (101)
+# or a hang (`timeout` gives 124).
+exits_1() {
+    local code=0
+    "$@" || code=$?
+    if [ "$code" -ne 1 ]; then
+        echo "expected exit 1, got $code: $*" >&2
+        exit 1
+    fi
+}
+
+# A checkpoint missing its last `params` entry is refused at load, before
+# `allocate` runs a forward or `serve` binds its port.
+sed 's/,{"rows":[^{}]*}\],"trainer"/],"trainer"/' "$SMOKE_DIR/model.json" \
+    > "$SMOKE_DIR/short.json"
+if cmp -s "$SMOKE_DIR/model.json" "$SMOKE_DIR/short.json"; then
+    echo "could not drop a params entry from the smoke model" >&2
+    exit 1
+fi
+exits_1 "$SPG" allocate --dataset "$SMOKE_DIR/ds.json" --model "$SMOKE_DIR/short.json"
+exits_1 timeout 10 "$SPG" serve --model "$SMOKE_DIR/short.json" --addr 127.0.0.1:0 \
+    > "$SMOKE_DIR/short_serve.log" 2>&1
+if grep -q "listening on" "$SMOKE_DIR/short_serve.log"; then
+    echo "spg serve bound its port with a mismatched checkpoint" >&2
+    exit 1
+fi
+echo "bad checkpoint smoke OK"
 
 # Fault-tolerance: a kill-and-resume smoke through the binary (the
 # injection/resume suite ran with the workspace tests above) — a run
