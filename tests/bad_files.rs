@@ -21,7 +21,7 @@ use spg::nn::Matrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-fn scratch_dir(tag: &str) -> PathBuf {
+fn temp_dir_for(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("spg-bad-files-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -106,7 +106,7 @@ fn load_case<T, E: std::fmt::Display>(
 
 #[test]
 fn damaged_datasets_load_or_fail_with_a_named_error() {
-    let dir = scratch_dir("dataset");
+    let dir = temp_dir_for("dataset");
     let path = dir.join("ds.json");
     let ds = spg::gen::generate_dataset(&DatasetSpec::scaled_down(Setting::Small), 1, 1);
     let json = serde_json::to_string(&ds).unwrap();
@@ -193,7 +193,7 @@ fn mismatched_checkpoints() -> Vec<(&'static str, Checkpoint)> {
 
 #[test]
 fn damaged_checkpoints_load_or_fail_with_a_named_error() {
-    let dir = scratch_dir("checkpoint");
+    let dir = temp_dir_for("checkpoint");
     let path = dir.join("model.json");
     let json = serde_json::to_string(&checkpoint()).unwrap();
     let (graph, cluster) = (small_graph(), ClusterSpec::paper_medium(4));
@@ -230,7 +230,7 @@ fn damaged_checkpoints_load_or_fail_with_a_named_error() {
 
 #[test]
 fn load_refuses_parameters_that_do_not_fit_the_config() {
-    let dir = scratch_dir("mismatch");
+    let dir = temp_dir_for("mismatch");
     for (what, ckpt) in mismatched_checkpoints() {
         let path = dir.join("mismatch.json");
         std::fs::write(&path, serde_json::to_string(&ckpt).unwrap()).unwrap();
