@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use spg_graph::{ClusterSpec, GraphFeatures, Placement, StreamGraph, TupleRates};
 use spg_nn::{Adam, Matrix, Tape};
-use spg_obs::{probe, ProbeSnapshot, TelemetrySink};
+use spg_obs::TelemetrySink;
 use spg_sim::inject::{self, Fault, FaultInjector, Site};
 use std::time::Instant;
 
@@ -251,9 +251,6 @@ pub struct ReinforceTrainer<P: CoarsePlacer> {
     fault_log: Vec<FaultEvent>,
     /// Cache counters at the end of the previous epoch (for deltas).
     prev_cache: (u64, u64),
-    /// Probe snapshots at the end of the previous epoch, aligned with
-    /// [`probe::all`].
-    prev_probes: [ProbeSnapshot; 3],
 }
 
 /// Fluent construction of a [`ReinforceTrainer`]. Obtain via
@@ -361,7 +358,8 @@ impl<P: CoarsePlacer> ReinforceTrainerBuilder<P> {
                 );
                 // Reward of replaying the guided decisions through our own
                 // pipeline (not of the raw Metis placement) — that is what
-                // the policy is asked to imitate.
+                // the policy is asked to imitate. Not timed, so every
+                // rollout timing falls inside an epoch.
                 let priority = priority_by_prob(&vec![0.5f32; decisions.len()]);
                 let reward = rollout_reward(
                     &policy,
@@ -371,6 +369,7 @@ impl<P: CoarsePlacer> ReinforceTrainerBuilder<P> {
                     &decisions,
                     &priority,
                     &placer,
+                    &TelemetrySink::disabled(),
                 );
                 inst.buffer.push(BufferedSample {
                     decisions,
@@ -384,7 +383,6 @@ impl<P: CoarsePlacer> ReinforceTrainerBuilder<P> {
         rng.set_word_pos(1 << 20);
 
         let cache = RewardCache::new(instances.len());
-        let prev_probes = probe::all().map(|p| p.snapshot());
         let quarantined = vec![false; instances.len()];
         ReinforceTrainer {
             model,
@@ -403,7 +401,6 @@ impl<P: CoarsePlacer> ReinforceTrainerBuilder<P> {
             fault_stats: FaultStats::default(),
             fault_log: Vec::new(),
             prev_cache: (0, 0),
-            prev_probes,
         }
     }
 }
@@ -891,16 +888,6 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
         sink.counter("cache.misses", misses - self.prev_cache.1);
         self.prev_cache = (hits, misses);
         sink.gauge("cache.entries", self.cache.entries() as f64);
-
-        // Simulator / partitioner probes: per-epoch deltas. Exact for a
-        // lone trainer; upper bounds if other work shares the process.
-        for (probe, prev) in probe::all().into_iter().zip(&mut self.prev_probes) {
-            let snap = probe.snapshot();
-            let d = snap.delta(*prev);
-            *prev = snap;
-            sink.counter(&format!("{}.calls", probe.name()), d.calls);
-            sink.counter(&format!("{}.us", probe.name()), d.us);
-        }
     }
 
     /// One policy-gradient step on graph `gi`. Returns the mean on-policy
@@ -1010,6 +997,7 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
                                 &decisions,
                                 priority,
                                 placer,
+                                sink,
                             );
                             RolloutOutcome {
                                 decisions,
@@ -1264,6 +1252,7 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
                 &decoded[i].1,
                 &decoded[i].0,
                 placer,
+                &TelemetrySink::disabled(),
             )
         });
         rewards.iter().sum::<f64>() / graphs.len() as f64
@@ -1271,7 +1260,10 @@ impl<P: CoarsePlacer + Sync> ReinforceTrainer<P> {
 }
 
 /// Coarsen with `decisions` in `priority` order, place the coarse graph,
-/// lift, simulate.
+/// lift, simulate. While `sink` is enabled, the placement's wall-clock
+/// goes to it as one `rollout.place_us` observation and the lift plus
+/// simulation's as one `rollout.simulate_us` observation.
+#[allow(clippy::too_many_arguments)]
 fn rollout_reward<P: CoarsePlacer>(
     policy: &CoarseningPolicy,
     graph: &StreamGraph,
@@ -1280,11 +1272,19 @@ fn rollout_reward<P: CoarsePlacer>(
     decisions: &[bool],
     priority: &[u32],
     placer: &P,
+    sink: &TelemetrySink,
 ) -> f64 {
     let coarsening = policy.apply(graph, rates, cluster, decisions, priority);
+    let t0 = sink.enabled().then(Instant::now);
     let coarse_placement = placer.place_coarse(&coarsening.coarse, cluster);
+    let t1 = sink.enabled().then(Instant::now);
     let placement = Placement::lift(&coarse_placement, &coarsening.node_map);
-    spg_sim::reward::relative_throughput_with_rates(graph, cluster, &placement, rates)
+    let reward = spg_sim::reward::relative_throughput_with_rates(graph, cluster, &placement, rates);
+    if let (Some(t0), Some(t1)) = (t0, t1) {
+        sink.hist("rollout.place_us", (t1 - t0).as_secs_f64() * 1e6);
+        sink.hist("rollout.simulate_us", t1.elapsed().as_secs_f64() * 1e6);
+    }
+    reward
 }
 
 #[cfg(test)]
@@ -1482,8 +1482,26 @@ mod tests {
         let ka = rollout::collapse_key(&pa, &decisions);
         let kb = rollout::collapse_key(&pb, &decisions);
         assert_eq!(ka, kb);
-        let ra = rollout_reward(&policy, &g, &rates, &cluster, &decisions, &pa, &placer);
-        let rb = rollout_reward(&policy, &g, &rates, &cluster, &decisions, &pb, &placer);
+        let ra = rollout_reward(
+            &policy,
+            &g,
+            &rates,
+            &cluster,
+            &decisions,
+            &pa,
+            &placer,
+            &TelemetrySink::disabled(),
+        );
+        let rb = rollout_reward(
+            &policy,
+            &g,
+            &rates,
+            &cluster,
+            &decisions,
+            &pb,
+            &placer,
+            &TelemetrySink::disabled(),
+        );
         assert_eq!(ra.to_bits(), rb.to_bits());
     }
 

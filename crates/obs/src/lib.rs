@@ -19,11 +19,6 @@
 //!   (see [`Event`]) and [`report::Summary`] turns a metrics file back
 //!   into a per-phase time breakdown, cache hit rates, and metric curves.
 //!
-//! Cross-crate instrumentation of pure hot paths (the simulators, the
-//! k-way partitioner) goes through process-wide [`probe`] counters instead
-//! of a sink handle, so their signatures stay untouched; the trainer
-//! snapshots probe deltas into its sink once per epoch.
-//!
 //! ## Event schema
 //!
 //! ```text
@@ -45,10 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub mod probe;
 pub mod report;
 
-pub use probe::{Probe, ProbeSnapshot};
 pub use report::Summary;
 
 // ---------------------------------------------------------------------------
@@ -269,10 +262,6 @@ impl TelemetrySink {
     }
 
     fn with_out(out: Out) -> Self {
-        // Any live sink turns on probe timing (sticky, process-wide): the
-        // pure hot paths then pay two clock reads per probed call, which
-        // the trainer reads back as per-epoch deltas.
-        probe::enable_timing();
         Self(Some(Arc::new(SinkInner {
             start: Instant::now(),
             depth: AtomicU64::new(0),

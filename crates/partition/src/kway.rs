@@ -37,19 +37,7 @@ impl Default for PartitionConfig {
 /// Partition `g` into `k` parts: multilevel coarsening, recursive-bisection
 /// initial partitioning on the coarsest graph, then refined uncoarsening.
 /// Returns part labels in `0..k`.
-///
-/// Calls (and, when telemetry is live, wall-clock time) are counted on
-/// [`spg_obs::probe::PARTITION_KWAY`]; results are untouched.
 pub fn kway_partition<R: Rng>(
-    g: &WeightedGraph,
-    k: usize,
-    cfg: &PartitionConfig,
-    rng: &mut R,
-) -> Vec<u32> {
-    spg_obs::probe::PARTITION_KWAY.time(|| kway_partition_impl(g, k, cfg, rng))
-}
-
-fn kway_partition_impl<R: Rng>(
     g: &WeightedGraph,
     k: usize,
     cfg: &PartitionConfig,

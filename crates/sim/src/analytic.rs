@@ -114,19 +114,7 @@ pub fn simulate(
 }
 
 /// Simulate reusing precomputed tuple rates.
-///
-/// Calls (and, when telemetry is live, wall-clock time) are counted on
-/// [`spg_obs::probe::SIM_ANALYTIC`]; results are untouched.
 pub fn simulate_with_rates(
-    graph: &StreamGraph,
-    cluster: &ClusterSpec,
-    placement: &Placement,
-    rates: &TupleRates,
-) -> SimResult {
-    spg_obs::probe::SIM_ANALYTIC.time(|| simulate_with_rates_impl(graph, cluster, placement, rates))
-}
-
-fn simulate_with_rates_impl(
     graph: &StreamGraph,
     cluster: &ClusterSpec,
     placement: &Placement,

@@ -97,22 +97,8 @@ pub struct DesResult {
     pub cpu_saturation: Vec<f64>,
 }
 
-/// Run the discrete-time simulation.
-///
-/// Calls (and, when telemetry is live, wall-clock time) are counted on
-/// [`spg_obs::probe::SIM_DES`]; results are untouched.
-pub fn simulate_des(
-    graph: &StreamGraph,
-    cluster: &ClusterSpec,
-    placement: &Placement,
-    source_rate: f64,
-    cfg: &DesConfig,
-) -> DesResult {
-    spg_obs::probe::SIM_DES.time(|| simulate_des_impl(graph, cluster, placement, source_rate, cfg))
-}
-
 /// Mutable state of one simulation run plus the immutable inputs it
-/// steps over; lets the block-measurement loop in [`simulate_des_impl`]
+/// steps over; lets the block-measurement loop in [`simulate_des`]
 /// re-enter the stepping kernel without replumbing a dozen locals.
 struct Sim<'a> {
     graph: &'a StreamGraph,
@@ -352,7 +338,8 @@ fn measure_blocks(sim: &mut Sim, sink_count: usize) -> (f64, f64, f64) {
     (throughput, relative, sink_rate)
 }
 
-fn simulate_des_impl(
+/// Run the discrete-time simulation.
+pub fn simulate_des(
     graph: &StreamGraph,
     cluster: &ClusterSpec,
     placement: &Placement,
@@ -397,7 +384,7 @@ pub struct DesPhase {
 /// drifting deployment pays. Everything that describes *measurement*,
 /// however, restarts per phase: an unmeasured warmup absorbs the
 /// switch-over transient, the adaptive converged-block window begins
-/// with fresh convergence state (see [`measure_blocks`]), and CPU
+/// with fresh convergence state (see `measure_blocks`), and CPU
 /// saturation counters are zeroed so each [`DesResult`] describes its
 /// own phase only.
 ///
@@ -416,36 +403,34 @@ pub fn simulate_des_phases(
             "phase {i} placement must cover the graph and respect the device count"
         );
     }
-    spg_obs::probe::SIM_DES.time(|| {
-        let sink_count = graph.sinks().len();
-        let mut sim = Sim::new(
-            graph,
-            cluster,
-            &phases[0].placement,
-            phases[0].source_rate,
-            cfg,
-        );
-        let mut results = Vec::with_capacity(phases.len());
-        for ph in phases {
-            sim.placement = &ph.placement;
-            sim.source_rate = ph.source_rate;
-            sim.cpu_saturated.fill(0);
-            sim.executed_steps = 0;
-            sim.run(cfg.warmup_steps, false);
-            let (throughput, relative, sink_rate) = measure_blocks(&mut sim, sink_count);
-            results.push(DesResult {
-                throughput,
-                relative,
-                sink_rate,
-                cpu_saturation: sim
-                    .cpu_saturated
-                    .iter()
-                    .map(|&c| c as f64 / sim.executed_steps.max(1) as f64)
-                    .collect(),
-            });
-        }
-        results
-    })
+    let sink_count = graph.sinks().len();
+    let mut sim = Sim::new(
+        graph,
+        cluster,
+        &phases[0].placement,
+        phases[0].source_rate,
+        cfg,
+    );
+    let mut results = Vec::with_capacity(phases.len());
+    for ph in phases {
+        sim.placement = &ph.placement;
+        sim.source_rate = ph.source_rate;
+        sim.cpu_saturated.fill(0);
+        sim.executed_steps = 0;
+        sim.run(cfg.warmup_steps, false);
+        let (throughput, relative, sink_rate) = measure_blocks(&mut sim, sink_count);
+        results.push(DesResult {
+            throughput,
+            relative,
+            sink_rate,
+            cpu_saturation: sim
+                .cpu_saturated
+                .iter()
+                .map(|&c| c as f64 / sim.executed_steps.max(1) as f64)
+                .collect(),
+        });
+    }
+    results
 }
 
 /// Convenience: classify the analytic bottleneck and check that the DES

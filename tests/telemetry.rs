@@ -12,20 +12,24 @@ use spg::model::{
 use spg::obs::{Event, Summary};
 use spg::StreamGraph;
 
-fn run_epochs(sink: TelemetrySink, epochs: usize) -> (Vec<TrainStats>, TelemetrySink) {
+fn trainer(sink: TelemetrySink) -> ReinforceTrainer<MetisCoarsePlacer> {
     let spec = DatasetSpec::scaled_down(Setting::Small);
     let graphs: Vec<StreamGraph> = (0..3u64)
         .map(|s| spg::gen::generate_graph(&spec, s))
         .collect();
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let model = CoarsenModel::new(CoarsenConfig::default(), &mut rng);
-    let mut trainer = ReinforceTrainer::builder(model, MetisCoarsePlacer::new(5))
+    ReinforceTrainer::builder(model, MetisCoarsePlacer::new(5))
         .graphs(graphs)
         .cluster(spec.cluster())
         .source_rate(spec.source_rate)
         .options(TrainOptions::new().seed(9).num_workers(2))
         .telemetry(sink)
-        .build();
+        .build()
+}
+
+fn run_epochs(sink: TelemetrySink, epochs: usize) -> (Vec<TrainStats>, TelemetrySink) {
+    let mut trainer = trainer(sink);
     let stats = (0..epochs).map(|_| trainer.train_epoch()).collect();
     (stats, trainer.telemetry().clone())
 }
@@ -82,8 +86,8 @@ fn event_stream_carries_the_documented_metrics() {
         "\"step.backprop\"",
         "\"cache.hits\"",
         "\"cache.misses\"",
-        "\"sim.analytic.calls\"",
-        "\"partition.kway.calls\"",
+        "\"rollout.place_us\"",
+        "\"rollout.simulate_us\"",
         "\"reward.mean\"",
         "\"reward.best\"",
         "\"reward.min\"",
@@ -115,5 +119,43 @@ fn report_summarizes_a_training_run() {
     assert_eq!(curve.len(), stats.len());
     for (got, st) in curve.iter().zip(&stats) {
         assert!((got - st.mean_reward).abs() < 1e-6);
+    }
+}
+
+/// Every simulator and partitioner call a run's metrics report is one of
+/// that run's own reward-cache misses: one `rollout.place_us` and one
+/// `rollout.simulate_us` observation each. Another trainer in the same
+/// process, seeding its buffers with Metis and training in between, adds
+/// nothing to them.
+#[test]
+fn telemetry_counts_only_its_own_run() {
+    let mut a = trainer(TelemetrySink::memory());
+    let mut b = trainer(TelemetrySink::disabled());
+    a.train_epoch();
+    b.train_epoch();
+    b.train_epoch();
+    a.train_epoch();
+
+    let lines = a.telemetry().lines();
+    // Per epoch of A: (cache.misses, place_us count, simulate_us count).
+    let mut epochs: Vec<(u64, usize, usize)> = Vec::new();
+    let mut cur = (0, 0, 0);
+    for line in &lines {
+        match Event::parse(line).expect("valid event") {
+            Event::Counter { name, value, .. } if name == "cache.misses" => cur.0 += value,
+            Event::Hist { name, .. } if name == "rollout.place_us" => cur.1 += 1,
+            Event::Hist { name, .. } if name == "rollout.simulate_us" => cur.2 += 1,
+            Event::SpanClose { name, .. } if name == "epoch" => {
+                epochs.push(cur);
+                cur = (0, 0, 0);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(epochs.len(), 2, "{epochs:?}");
+    for (i, &(misses, place, simulate)) in epochs.iter().enumerate() {
+        assert!(misses > 0, "epoch {i} simulated nothing");
+        assert_eq!(place as u64, misses, "epoch {i}: rollout.place_us");
+        assert_eq!(simulate as u64, misses, "epoch {i}: rollout.simulate_us");
     }
 }
