@@ -17,7 +17,8 @@ use std::fmt;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Why a dataset failed to load or validate.
+/// Why a dataset failed to load or validate. Every variant names the
+/// file.
 #[derive(Debug)]
 pub enum DatasetError {
     /// The file could not be read.
@@ -38,6 +39,8 @@ pub enum DatasetError {
     /// edges, self-loops, cycles, empty, channel count not matching the
     /// edge count).
     Graph {
+        /// Path of the dataset.
+        path: PathBuf,
         /// Index of the offending graph within the dataset.
         index: usize,
         /// The structural error.
@@ -45,6 +48,8 @@ pub enum DatasetError {
     },
     /// An operator carries an invalid numeric field.
     InvalidOperator {
+        /// Path of the dataset.
+        path: PathBuf,
         /// Index of the offending graph.
         graph: usize,
         /// Node index of the operator.
@@ -54,6 +59,8 @@ pub enum DatasetError {
     },
     /// A channel carries an invalid numeric field.
     InvalidChannel {
+        /// Path of the dataset.
+        path: PathBuf,
         /// Index of the offending graph.
         graph: usize,
         /// Edge index of the channel.
@@ -63,11 +70,15 @@ pub enum DatasetError {
     },
     /// The source rate is not a finite positive number.
     InvalidSourceRate {
+        /// Path of the dataset.
+        path: PathBuf,
         /// The offending value.
         value: f64,
     },
     /// The cluster spec is unusable.
     InvalidCluster {
+        /// Path of the dataset.
+        path: PathBuf,
         /// What is wrong with it.
         detail: String,
     },
@@ -82,32 +93,45 @@ impl fmt::Display for DatasetError {
             DatasetError::Parse { path, detail } => {
                 write!(f, "dataset {} is not valid JSON: {detail}", path.display())
             }
-            DatasetError::Graph { index, source } => {
-                write!(f, "dataset graph {index} is invalid: {source}")
-            }
+            DatasetError::Graph {
+                path,
+                index,
+                source,
+            } => write!(
+                f,
+                "dataset {}: graph {index} is invalid: {source}",
+                path.display()
+            ),
             DatasetError::InvalidOperator {
+                path,
                 graph,
                 node,
                 detail,
             } => write!(
                 f,
-                "dataset graph {graph}, operator {node} is invalid: {detail}"
+                "dataset {}: graph {graph}, operator {node} is invalid: {detail}",
+                path.display()
             ),
             DatasetError::InvalidChannel {
+                path,
                 graph,
                 edge,
                 detail,
             } => write!(
                 f,
-                "dataset graph {graph}, channel {edge} is invalid: {detail}"
+                "dataset {}: graph {graph}, channel {edge} is invalid: {detail}",
+                path.display()
             ),
-            DatasetError::InvalidSourceRate { value } => write!(
+            DatasetError::InvalidSourceRate { path, value } => write!(
                 f,
-                "dataset source_rate must be a finite positive number, got {value}"
+                "dataset {}: source_rate must be a finite positive number, got {value}",
+                path.display()
             ),
-            DatasetError::InvalidCluster { detail } => {
-                write!(f, "dataset cluster spec is invalid: {detail}")
-            }
+            DatasetError::InvalidCluster { path, detail } => write!(
+                f,
+                "dataset {}: cluster spec is invalid: {detail}",
+                path.display()
+            ),
         }
     }
 }
@@ -254,26 +278,30 @@ impl Dataset {
             path: path.to_path_buf(),
             detail: e.to_string(),
         })?;
-        ds.validated()
+        ds.validated(path)
     }
 
-    /// Validate the dataset, rebuilding each graph's derived structure
-    /// (adjacency, topological order) from its raw parts. Derived
-    /// deserialisation bypasses the builder's invariants, so this is
-    /// mandatory for any graph that came from disk.
-    pub fn validated(mut self) -> Result<Self, DatasetError> {
+    /// Validate the dataset read from `path`, rebuilding each graph's
+    /// derived structure (adjacency, topological order) from its raw
+    /// parts. Derived deserialisation bypasses the builder's invariants,
+    /// so this is mandatory for any graph that came from disk.
+    fn validated(mut self, path: &Path) -> Result<Self, DatasetError> {
+        let path = || path.to_path_buf();
         if !(self.source_rate.is_finite() && self.source_rate > 0.0) {
             return Err(DatasetError::InvalidSourceRate {
+                path: path(),
                 value: self.source_rate,
             });
         }
         if self.cluster.devices == 0 {
             return Err(DatasetError::InvalidCluster {
+                path: path(),
                 detail: "cluster has no devices".to_string(),
             });
         }
         if !(self.cluster.mips.is_finite() && self.cluster.mips > 0.0) {
             return Err(DatasetError::InvalidCluster {
+                path: path(),
                 detail: format!(
                     "device MIPS must be finite positive, got {}",
                     self.cluster.mips
@@ -282,6 +310,7 @@ impl Dataset {
         }
         if !(self.cluster.link_mbps.is_finite() && self.cluster.link_mbps > 0.0) {
             return Err(DatasetError::InvalidCluster {
+                path: path(),
                 detail: format!(
                     "link bandwidth must be finite positive, got {} Mbps",
                     self.cluster.link_mbps
@@ -294,15 +323,19 @@ impl Dataset {
             // self-loops / cycles and replaces whatever adjacency the
             // file claimed with the recomputed one.
             *graph = validate_graph(graph).map_err(|e| match e {
-                GraphValidationError::Structure(source) => {
-                    DatasetError::Graph { index: gi, source }
-                }
+                GraphValidationError::Structure(source) => DatasetError::Graph {
+                    path: path(),
+                    index: gi,
+                    source,
+                },
                 GraphValidationError::Operator { node, detail } => DatasetError::InvalidOperator {
+                    path: path(),
                     graph: gi,
                     node,
                     detail,
                 },
                 GraphValidationError::Channel { edge, detail } => DatasetError::InvalidChannel {
+                    path: path(),
                     graph: gi,
                     edge,
                     detail,
@@ -447,7 +480,9 @@ mod tests {
         let path = save_text("dangling", &bad);
         let err = Dataset::load(&path).unwrap_err();
         match &err {
-            DatasetError::Graph { index: 0, source } => {
+            DatasetError::Graph {
+                index: 0, source, ..
+            } => {
                 assert!(
                     matches!(source, GraphError::NodeOutOfRange { .. }),
                     "{source:?}"
@@ -472,7 +507,9 @@ mod tests {
         let path = save_text("dup-edge", &bad);
         let err = Dataset::load(&path).unwrap_err();
         match &err {
-            DatasetError::Graph { index: 0, source } => {
+            DatasetError::Graph {
+                index: 0, source, ..
+            } => {
                 assert!(
                     matches!(source, GraphError::DuplicateEdge { .. }),
                     "{source:?}"

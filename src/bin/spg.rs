@@ -21,7 +21,7 @@ use spg::cli::{
 };
 use spg::eval::evaluate_allocator;
 use spg::gen::DatasetSpec;
-use spg::graph::serialize::{Dataset, DatasetError};
+use spg::graph::serialize::Dataset;
 use spg::graph::Allocator;
 use spg::model::checkpoint::Checkpoint;
 use spg::model::pipeline::MetisCoarsePlacer;
@@ -60,11 +60,8 @@ fn main() -> ExitCode {
 
 fn load_dataset(path: &Path) -> Result<Dataset, ExitCode> {
     Dataset::load(path).map_err(|e| {
-        match &e {
-            // Io/Parse messages already name the offending path.
-            DatasetError::Io { .. } | DatasetError::Parse { .. } => eprintln!("{e}"),
-            _ => eprintln!("{}: {e}", path.display()),
-        }
+        // The error names the offending path.
+        eprintln!("{e}");
         ExitCode::FAILURE
     })
 }
