@@ -57,40 +57,6 @@ pub fn generate_dataset(spec: &DatasetSpec, count: usize, base_seed: u64) -> Dat
     }
 }
 
-/// Parallel variant of [`generate_dataset`] using `threads` scoped
-/// worker threads. Produces exactly the same graphs as the
-/// sequential version — each graph depends only on its own seed — so
-/// datasets stay reproducible regardless of thread count.
-pub fn generate_dataset_parallel(
-    spec: &DatasetSpec,
-    count: usize,
-    base_seed: u64,
-    threads: usize,
-) -> Dataset {
-    let threads = threads.max(1);
-    let mut graphs: Vec<Option<StreamGraph>> = vec![None; count];
-    std::thread::scope(|scope| {
-        for (t, chunk) in graphs.chunks_mut(count.div_ceil(threads)).enumerate() {
-            let offset = t * count.div_ceil(threads);
-            scope.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let seed = base_seed.wrapping_add((offset + i) as u64);
-                    *slot = Some(generate_graph(spec, seed));
-                }
-            });
-        }
-    });
-    Dataset {
-        name: spec.name.clone(),
-        cluster: spec.cluster(),
-        source_rate: spec.source_rate,
-        graphs: graphs
-            .into_iter()
-            .map(|g| g.expect("all slots filled"))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,16 +91,6 @@ mod tests {
         let a = generate_graph(&spec, 1);
         let b = generate_graph(&spec, 2);
         assert!(a != b);
-    }
-
-    #[test]
-    fn parallel_generation_matches_sequential() {
-        let spec = DatasetSpec::for_setting(Setting::Small);
-        let seq = generate_dataset(&spec, 9, 77);
-        for threads in [1, 2, 4] {
-            let par = generate_dataset_parallel(&spec, 9, 77, threads);
-            assert_eq!(par.graphs, seq.graphs, "threads = {threads}");
-        }
     }
 
     #[test]
