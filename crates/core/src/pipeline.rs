@@ -25,28 +25,20 @@ pub trait CoarsePlacer {
 }
 
 /// Metis-style multilevel partitioning of the coarse graph.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MetisCoarsePlacer {
     /// Partitioner tuning.
     pub config: PartitionConfig,
-    seed: AtomicU64,
+    seed: u64,
 }
 
 impl MetisCoarsePlacer {
-    /// Placer with a deterministic seed stream.
+    /// Placer whose partitioner RNG is seeded from `seed` and the coarse
+    /// graph's content.
     pub fn new(seed: u64) -> Self {
         Self {
             config: PartitionConfig::default(),
-            seed: AtomicU64::new(seed),
-        }
-    }
-}
-
-impl Clone for MetisCoarsePlacer {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            seed: AtomicU64::new(self.seed.load(Ordering::Relaxed)),
+            seed,
         }
     }
 }
@@ -59,8 +51,7 @@ impl CoarsePlacer for MetisCoarsePlacer {
         // identical coarsenings then get identical placements and rewards,
         // which removes a large variance term from the policy gradient and
         // keeps buffered sample rewards valid across steps.
-        let base = self.seed.load(Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(base ^ fingerprint(coarse));
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ fingerprint(coarse));
         Placement::new(kway_partition(&w, k, &self.config, &mut rng))
     }
 
