@@ -36,7 +36,7 @@ pub struct IncrementalConfig {
     /// passes, so this is a backstop, not a tuning knob).
     pub refine_passes: usize,
     /// Single-node move budget for the reward-guided polish that runs
-    /// after cut-based refinement (see [`throughput_polish`]).
+    /// after cut-based refinement (see `throughput_polish`).
     pub polish_moves: usize,
 }
 

@@ -9,7 +9,7 @@
 //!   poll set — thousands of idle clients cost poll-set entries, not
 //!   threads.
 //! * **Compute**: [`ServeConfig::replicas`] shared-nothing replica
-//!   workers ([`replica`]), each owning its own model copy, batcher,
+//!   workers (the `replica` module), each owning its own model copy, batcher,
 //!   scratch arena, and LRU shard. Requests are rendezvous-hashed by
 //!   their content fingerprint ([`lru::request_fingerprint`] →
 //!   [`router::shard_of`]), so a repeat graph always lands on the
@@ -31,7 +31,7 @@
 //! receive bitwise-identical placements — cached or not, one replica or
 //! eight.
 //!
-//! [`bench`] is the matching open-loop load generator behind
+//! [`mod@bench`] is the matching open-loop load generator behind
 //! `spg bench-serve`.
 
 pub mod bench;

@@ -1,6 +1,6 @@
 //! The I/O front end: one thread, one poll set, every connection.
 //!
-//! [`io_loop`] replaces the old thread-per-connection design. It owns
+//! `io_loop` replaces the old thread-per-connection design. It owns
 //! the listener, the wake pipe, and every client socket, multiplexing
 //! them through [`crate::reactor::poll_fds`] so thousands of idle
 //! connections cost a poll-set entry each instead of two parked

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, release build, every workspace test.
+# Tier-1 gate: formatting, lints, doc links, release build, every workspace test.
 # Mirrors .github/workflows/ci.yml so it can run locally or in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,6 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 rustfmt --edition 2021 --check vendor/serde_json/src/*.rs
 cargo clippy -p serde_json --all-targets -- -D warnings
 cargo test -q -p serde_json -p serde -p rand -p rand_chacha -p proptest -p criterion
+# Doc links must resolve: a link to a deleted or private item fails here.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 cargo build --release
 # The workspace tests below run in debug; these check the unsafe matmul
 # kernels bitwise against the naive loop, every tanh tier against the
