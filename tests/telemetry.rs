@@ -138,7 +138,7 @@ fn telemetry_counts_only_its_own_run() {
 
     let lines = a.telemetry().lines();
     // Per epoch of A: (cache.misses, place_us count, simulate_us count).
-    let mut epochs: Vec<(u64, usize, usize)> = Vec::new();
+    let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
     let mut cur = (0, 0, 0);
     for line in &lines {
         match Event::parse(line).expect("valid event") {
@@ -155,7 +155,7 @@ fn telemetry_counts_only_its_own_run() {
     assert_eq!(epochs.len(), 2, "{epochs:?}");
     for (i, &(misses, place, simulate)) in epochs.iter().enumerate() {
         assert!(misses > 0, "epoch {i} simulated nothing");
-        assert_eq!(place as u64, misses, "epoch {i}: rollout.place_us");
-        assert_eq!(simulate as u64, misses, "epoch {i}: rollout.simulate_us");
+        assert_eq!(place, misses, "epoch {i}: rollout.place_us");
+        assert_eq!(simulate, misses, "epoch {i}: rollout.simulate_us");
     }
 }
