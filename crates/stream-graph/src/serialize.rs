@@ -283,8 +283,8 @@ impl Dataset {
 
     /// Validate the dataset read from `path`, rebuilding each graph's
     /// derived structure (adjacency, topological order) from its raw
-    /// parts. Derived deserialisation bypasses the builder's invariants,
-    /// so this is mandatory for any graph that came from disk.
+    /// parts. Derived deserialisation bypasses [`crate::StreamGraphBuilder`]'s
+    /// invariants, so this is mandatory for any graph that came from disk.
     fn validated(mut self, path: &Path) -> Result<Self, DatasetError> {
         let path = || path.to_path_buf();
         if !(self.source_rate.is_finite() && self.source_rate > 0.0) {
