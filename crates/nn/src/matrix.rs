@@ -17,6 +17,14 @@
 //! `matmul`, so its lanes too hold different output elements instead of
 //! one dot product's terms.
 //!
+//! [`Matrix::matmul_gathered_into`] runs the same kernel with a different
+//! start: output row `i`'s chains begin at row `idx[i]` of an `init`
+//! matrix instead of +0.0. Splitting a product's inner dimension, running
+//! the first part as a plain product and passing its rows as `init` to
+//! the second, therefore reproduces the unsplit product's bits; the
+//! tape-free forward uses this to project each node once instead of once
+//! per gathered row.
+//!
 //! Dispatch picks the widest instruction set at runtime
 //! (`is_x86_feature_detected!`, cached): the register-blocked AVX2
 //! kernel, an SSE2 panel kernel, or a portable 8-wide unrolled loop. See
@@ -111,13 +119,61 @@ impl Matrix {
     /// `out` comes from a scratch arena.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul out shape mismatch"
-        );
+        self.matmul_rows_into(other, 0, out);
+    }
+
+    /// `self @ other[first..first + self.cols]` into `out`: the product
+    /// with a band of `other`'s rows, read in place.
+    pub(crate) fn matmul_rows_into(&self, other: &Matrix, first: usize, out: &mut Matrix) {
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        gemm(&self.data, (k, 1), &other.data, &mut out.data, n, k, m);
+        let b = other.row_band(first, k);
+        assert_eq!((out.rows, out.cols), (n, m), "matmul out shape mismatch");
+        gemm(&self.data, (k, 1), b, &mut out.data, n, k, m, Start::Zero);
+    }
+
+    /// `out[i] = init[idx[i]] + self[i] @ other[first..first + self.cols]`:
+    /// each element's chain starts at its gathered `init` value instead of
+    /// +0.0, then adds its `self.cols` terms in ascending order. So with
+    /// `init = x @ other[..first]`, row `i` gets the bits `matmul_into`
+    /// gives the concatenated row `[x[idx[i]] : self[i]]`.
+    pub fn matmul_gathered_into(
+        &self,
+        other: &Matrix,
+        first: usize,
+        init: &Matrix,
+        idx: &[u32],
+        out: &mut Matrix,
+    ) {
+        // SAFETY: `widest` returns a tier this CPU runs.
+        unsafe { self.matmul_gathered_on(widest(), other, first, init, idx, out) }
+    }
+
+    /// [`Self::matmul_gathered_into`] on `tier`.
+    ///
+    /// # Safety
+    /// The CPU must run `tier`.
+    unsafe fn matmul_gathered_on(
+        &self,
+        tier: Tier,
+        other: &Matrix,
+        first: usize,
+        init: &Matrix,
+        idx: &[u32],
+        out: &mut Matrix,
+    ) {
+        let (n, k, m) = (self.rows, self.cols, other.cols);
+        let b = other.row_band(first, k);
+        assert_eq!((out.rows, out.cols), (n, m), "matmul out shape mismatch");
+        assert_eq!(init.cols, m, "gathered init width mismatch");
+        assert_eq!(idx.len(), n, "one init row index per output row");
+        let start = Start::Rows(&init.data, idx);
+        gemm_on(tier, &self.data, (k, 1), b, &mut out.data, n, k, m, start);
+    }
+
+    /// Rows `first..first + count` as one row-major slice.
+    fn row_band(&self, first: usize, count: usize) -> &[f32] {
+        assert!(first + count <= self.rows, "matmul shape mismatch");
+        &self.data[first * self.cols..(first + count) * self.cols]
     }
 
     /// `self^T @ other` without materialising the transpose.
@@ -125,7 +181,16 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(n, m);
-        gemm(&self.data, (1, n), &other.data, &mut out.data, n, k, m);
+        gemm(
+            &self.data,
+            (1, n),
+            &other.data,
+            &mut out.data,
+            n,
+            k,
+            m,
+            Start::Zero,
+        );
         out
     }
 
@@ -209,11 +274,80 @@ impl Matrix {
 
 // ---- dispatch -------------------------------------------------------------
 
-/// `out = a @ b`, overwriting `out` (`n x m`): the left operand's element
-/// `(i, kk)` is `a[i*rs + kk*cs]` and `b` is row-major `k x m`. Picks the
-/// widest runtime-detected instruction set; every tier is bitwise
-/// identical to the naive loop.
+/// Where each output element's chain starts.
+#[derive(Clone, Copy)]
+pub(crate) enum Start<'a> {
+    /// +0.0, the naive loop's start.
+    Zero,
+    /// Output row `i` starts from row `idx[i]` of `init`, which is
+    /// row-major with the output's width.
+    Rows(&'a [f32], &'a [u32]),
+}
+
+/// One tier of the GEMM: `out = start + a @ b`, overwriting `out` (`n x
+/// m`), where the left operand's element `(i, kk)` is `a[i*rs + kk*cs]`
+/// and `b` is row-major `k x m`. `unsafe` because a SIMD tier needs its
+/// instruction set, and every tier reads and writes unchecked within the
+/// bounds [`gemm_on`] asserts.
+type Tier = unsafe fn(&[f32], (usize, usize), &[f32], &mut [f32], usize, usize, usize, Start<'_>);
+
+/// The widest tier this CPU runs, the one every product dispatches to.
+fn widest() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let lvl = x86::level();
+        if lvl >= x86::LVL_AVX2 {
+            return x86::gemm_avx2;
+        }
+        if lvl >= x86::LVL_SSE2 {
+            return x86::gemm_sse2;
+        }
+    }
+    portable::gemm
+}
+
+/// Every tier this CPU runs, named, portable first and [`widest`] last.
+/// Dispatch only ever runs the widest, so tests reach the others
+/// through this list.
+fn tiers() -> Vec<(&'static str, Tier)> {
+    let mut tiers: Vec<(&'static str, Tier)> = vec![("portable", portable::gemm)];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x86::level() >= x86::LVL_SSE2 {
+            tiers.push(("sse2", x86::gemm_sse2));
+        }
+        if x86::level() >= x86::LVL_AVX2 {
+            tiers.push(("avx2", x86::gemm_avx2));
+        }
+    }
+    tiers
+}
+
+/// The GEMM on the widest tier; every tier is bitwise identical to the
+/// naive loop started at `start`.
+#[allow(clippy::too_many_arguments)]
 fn gemm(
+    a: &[f32],
+    strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+    start: Start<'_>,
+) {
+    // SAFETY: `widest` returns a tier this CPU runs.
+    unsafe { gemm_on(widest(), a, strides, b, out, n, k, m, start) }
+}
+
+/// The GEMM on `tier`, after asserting the bounds every tier reads and
+/// writes within.
+///
+/// # Safety
+/// The CPU must run `tier`: it comes from [`widest`] or [`tiers`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_on(
+    tier: Tier,
     a: &[f32],
     (rs, cs): (usize, usize),
     b: &[f32],
@@ -221,32 +355,50 @@ fn gemm(
     n: usize,
     k: usize,
     m: usize,
+    start: Start<'_>,
 ) {
-    // The kernels read and write unchecked inside these bounds.
     assert!(n == 0 || k == 0 || (n - 1) * rs + (k - 1) * cs < a.len());
     assert!(b.len() >= k * m && out.len() >= n * m);
-    #[cfg(target_arch = "x86_64")]
-    {
-        let lvl = x86::level();
-        if lvl >= x86::LVL_AVX2 {
-            // SAFETY: AVX2 verified by `x86::level`; bounds asserted above.
-            unsafe { x86::gemm_avx2(a, (rs, cs), b, out, n, k, m) };
-            return;
-        }
-        if lvl >= x86::LVL_SSE2 {
-            // SAFETY: SSE2 verified by `x86::level`; bounds asserted above.
-            unsafe { x86::gemm_sse2(a, (rs, cs), b, out, n, k, m) };
-            return;
-        }
+    if let Start::Rows(init, idx) = start {
+        assert!(idx.len() >= n, "one init row index per output row");
+        let rows = init.len().checked_div(m).unwrap_or(usize::MAX);
+        assert!(
+            idx[..n].iter().all(|&r| (r as usize) < rows),
+            "init row index out of range"
+        );
     }
-    portable::gemm(a, (rs, cs), b, out, n, k, m);
+    tier(a, (rs, cs), b, out, n, k, m, start);
+}
+
+/// One tier of [`Matrix::matmul_gathered_into`], taking its arguments
+/// with `self` first.
+pub type GatheredKernel = Box<dyn Fn(&Matrix, &Matrix, usize, &Matrix, &[u32], &mut Matrix)>;
+
+/// Every tier of [`Matrix::matmul_gathered_into`] this CPU runs, named,
+/// portable first. The method dispatches to the widest only, so tests
+/// reach the others through this list.
+pub fn gathered_tiers() -> Vec<(&'static str, GatheredKernel)> {
+    tiers()
+        .into_iter()
+        .map(|(name, tier)| {
+            let kernel: GatheredKernel = Box::new(move |a, other, first, init, idx, out| {
+                // SAFETY: `tiers` lists only tiers this CPU runs.
+                unsafe { a.matmul_gathered_on(tier, other, first, init, idx, out) }
+            });
+            (name, kernel)
+        })
+        .collect()
 }
 
 // ---- portable kernel ------------------------------------------------------
 
 mod portable {
-    /// Row by row: zero `out` row `i`, then one `axpy` per ascending `kk`,
-    /// which is the naive loop's chain for every element of the row.
+    use super::Start;
+
+    /// Row by row: start `out` row `i` (zero or its `init` row), then one
+    /// `axpy` per ascending `kk`, which is the naive loop's chain for
+    /// every element of the row.
+    #[allow(clippy::too_many_arguments)]
     pub fn gemm(
         a: &[f32],
         (rs, cs): (usize, usize),
@@ -255,10 +407,17 @@ mod portable {
         n: usize,
         k: usize,
         m: usize,
+        start: Start<'_>,
     ) {
         for i in 0..n {
             let out_row = &mut out[i * m..(i + 1) * m];
-            out_row.fill(0.0);
+            match start {
+                Start::Zero => out_row.fill(0.0),
+                Start::Rows(init, idx) => {
+                    let r = idx[i] as usize;
+                    out_row.copy_from_slice(&init[r * m..(r + 1) * m]);
+                }
+            }
             for kk in 0..k {
                 axpy(out_row, a[i * rs + kk * cs], &b[kk * m..(kk + 1) * m]);
             }
@@ -293,6 +452,7 @@ mod portable {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
+    use super::Start;
     use std::arch::x86_64::*;
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -329,13 +489,17 @@ pub(crate) mod x86 {
     }
 
     /// One GEMM call's operands, shared by its tiles: `a` strided as in
-    /// `gemm`, `b` row-major `k x m`, `out` row-major `n x m`.
+    /// `gemm`, `b` row-major `k x m`, `out` row-major `n x m`, and the
+    /// `init` rows with their per-output-row `idx` (both null for a +0.0
+    /// start).
     struct Operands {
         a: *const f32,
         rs: usize,
         cs: usize,
         b: *const f32,
         out: *mut f32,
+        init: *const f32,
+        idx: *const u32,
         k: usize,
         m: usize,
     }
@@ -348,13 +512,15 @@ pub(crate) mod x86 {
     /// tiles. The last `m % 24` columns run as up to three 8-lane panels
     /// through masked loads and stores, which never touch memory past the
     /// row, so no width falls back to scalar code. Every accumulator
-    /// starts at +0.0 and adds `mul(a, b)` once per `kk` in ascending
-    /// order: each output element gets exactly the naive loop's chain of
-    /// roundings.
+    /// starts at +0.0 (or loads its `init` element) and adds `mul(a, b)`
+    /// once per `kk` in ascending order: each output element gets exactly
+    /// the naive loop's chain of roundings.
     ///
     /// # Safety
     /// Caller must verify AVX2 at runtime and pass operands that hold the
-    /// `n x k` / `k x m` / `n x m` shapes (asserted by `gemm`).
+    /// `n x k` / `k x m` / `n x m` shapes and in-range `init` rows
+    /// (asserted by `gemm_on`).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_avx2(
         a: &[f32],
@@ -364,29 +530,48 @@ pub(crate) mod x86 {
         n: usize,
         k: usize,
         m: usize,
+        start: Start<'_>,
     ) {
+        let (init, idx) = match start {
+            Start::Zero => (std::ptr::null(), std::ptr::null()),
+            Start::Rows(init, idx) => (init.as_ptr(), idx.as_ptr()),
+        };
         let ops = Operands {
             a: a.as_ptr(),
             rs,
             cs,
             b: b.as_ptr(),
             out: out.as_mut_ptr(),
+            init,
+            idx,
             k,
             m,
         };
+        // A const start keeps the +0.0 kernel free of init code.
+        if idx.is_null() {
+            column_blocks::<false>(&ops, n);
+        } else {
+            column_blocks::<true>(&ops, n);
+        }
+    }
+
+    /// Every column of `out`: 24-column blocks, then one masked block for
+    /// the last `m % 24`. `INIT` says whether chains start from `init`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn column_blocks<const INIT: bool>(ops: &Operands, n: usize) {
         let all = _mm256_set1_epi32(-1);
         let mut j = 0;
-        while j + 24 <= m {
-            column_block::<3, false>(&ops, n, j, [all; 3]);
+        while j + 24 <= ops.m {
+            column_block::<3, false, INIT>(ops, n, j, [all; 3]);
             j += 24;
         }
-        let rest = m - j;
+        let rest = ops.m - j;
         let mask = |skip: usize| lane_mask(rest.saturating_sub(skip));
         match rest.div_ceil(8) {
             0 => {}
-            1 => column_block::<1, true>(&ops, n, j, [mask(0)]),
-            2 => column_block::<2, true>(&ops, n, j, [mask(0), mask(8)]),
-            _ => column_block::<3, true>(&ops, n, j, [mask(0), mask(8), mask(16)]),
+            1 => column_block::<1, true, INIT>(ops, n, j, [mask(0)]),
+            2 => column_block::<2, true, INIT>(ops, n, j, [mask(0), mask(8)]),
+            _ => column_block::<3, true, INIT>(ops, n, j, [mask(0), mask(8), mask(16)]),
         }
     }
 
@@ -401,7 +586,7 @@ pub(crate) mod x86 {
     /// Every row of the `8 * P` output columns from `j`: 4-row tiles,
     /// then 1-row tiles for `n % 4`.
     #[target_feature(enable = "avx2")]
-    unsafe fn column_block<const P: usize, const MASKED: bool>(
+    unsafe fn column_block<const P: usize, const MASKED: bool, const INIT: bool>(
         ops: &Operands,
         n: usize,
         j: usize,
@@ -409,26 +594,39 @@ pub(crate) mod x86 {
     ) {
         let mut i = 0;
         while i + 4 <= n {
-            tile::<4, P, MASKED>(ops, i, j, masks);
+            tile::<4, P, MASKED, INIT>(ops, i, j, masks);
             i += 4;
         }
         while i < n {
-            tile::<1, P, MASKED>(ops, i, j, masks);
+            tile::<1, P, MASKED, INIT>(ops, i, j, masks);
             i += 1;
         }
     }
 
     /// Rows `i..i+R` × columns `j..j+8P` of `out`, accumulated in
-    /// registers over every `kk` and stored once.
+    /// registers over every `kk` and stored once. With `INIT` the
+    /// accumulators first load row `idx[i + r]` of `init`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile<const R: usize, const P: usize, const MASKED: bool>(
+    unsafe fn tile<const R: usize, const P: usize, const MASKED: bool, const INIT: bool>(
         ops: &Operands,
         i: usize,
         j: usize,
         masks: [__m256i; P],
     ) {
         let mut acc = [[_mm256_setzero_ps(); P]; R];
+        if INIT {
+            for (r, row) in acc.iter_mut().enumerate() {
+                let src = ops.init.add(*ops.idx.add(i + r) as usize * ops.m + j);
+                for (p, (c, &mask)) in row.iter_mut().zip(&masks).enumerate() {
+                    *c = if MASKED {
+                        _mm256_maskload_ps(src.add(8 * p), mask)
+                    } else {
+                        _mm256_loadu_ps(src.add(8 * p))
+                    };
+                }
+            }
+        }
         for kk in 0..ops.k {
             let b_row = ops.b.add(kk * ops.m + j);
             let mut bv = [_mm256_setzero_ps(); P];
@@ -460,11 +658,13 @@ pub(crate) mod x86 {
 
     /// SSE2 tier of the same kernel, one row at a time: 16-column panels
     /// (4 xmm accumulators), then 4-column panels, then scalar tail
-    /// columns, each with the naive loop's chain.
+    /// columns, each with the naive loop's chain from its start.
     ///
     /// # Safety
     /// Caller must verify SSE2 at runtime and pass operands that hold the
-    /// `n x k` / `k x m` / `n x m` shapes (asserted by `gemm`).
+    /// `n x k` / `k x m` / `n x m` shapes and in-range `init` rows
+    /// (asserted by `gemm_on`).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "sse2")]
     pub unsafe fn gemm_sse2(
         a: &[f32],
@@ -474,17 +674,28 @@ pub(crate) mod x86 {
         n: usize,
         k: usize,
         m: usize,
+        start: Start<'_>,
     ) {
         let ap = a.as_ptr();
         let bp = b.as_ptr();
         let op = out.as_mut_ptr();
+        // Row `i`'s start, read from column `j` on: +0.0 or its init row.
+        let init = |i: usize, j: usize| match start {
+            Start::Zero => None,
+            Start::Rows(init, idx) => Some(init.as_ptr().add(idx[i] as usize * m + j)),
+        };
+        let load = |src: Option<*const f32>, off: usize| match src {
+            None => _mm_setzero_ps(),
+            Some(p) => _mm_loadu_ps(p.add(off)),
+        };
         let mut j = 0usize;
         while j + 16 <= m {
             for i in 0..n {
-                let mut c0 = _mm_setzero_ps();
-                let mut c1 = _mm_setzero_ps();
-                let mut c2 = _mm_setzero_ps();
-                let mut c3 = _mm_setzero_ps();
+                let s = init(i, j);
+                let mut c0 = load(s, 0);
+                let mut c1 = load(s, 4);
+                let mut c2 = load(s, 8);
+                let mut c3 = load(s, 12);
                 for kk in 0..k {
                     let av = _mm_set1_ps(*ap.add(i * rs + kk * cs));
                     let bb = bp.add(kk * m + j);
@@ -503,7 +714,7 @@ pub(crate) mod x86 {
         }
         while j + 4 <= m {
             for i in 0..n {
-                let mut c0 = _mm_setzero_ps();
+                let mut c0 = load(init(i, j), 0);
                 for kk in 0..k {
                     let av = _mm_set1_ps(*ap.add(i * rs + kk * cs));
                     c0 = _mm_add_ps(c0, _mm_mul_ps(av, _mm_loadu_ps(bp.add(kk * m + j))));
@@ -514,7 +725,7 @@ pub(crate) mod x86 {
         }
         for j in j..m {
             for i in 0..n {
-                let mut acc = 0.0f32;
+                let mut acc = init(i, j).map_or(0.0, |p| *p);
                 for kk in 0..k {
                     acc += *ap.add(i * rs + kk * cs) * *bp.add(kk * m + j);
                 }
@@ -694,31 +905,19 @@ mod tests {
     /// `out` that each must overwrite.
     #[test]
     fn every_kernel_tier_is_bitwise_identical_to_naive() {
-        type Kernel = fn(&[f32], (usize, usize), &[f32], &mut [f32], usize, usize, usize);
-        let mut tiers: Vec<Kernel> = vec![portable::gemm];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if x86::level() >= x86::LVL_SSE2 {
-                // SAFETY: SSE2 verified just above; the calls below pass
-                // operands that hold their shapes.
-                tiers.push(|a, s, b, o, n, k, m| unsafe { x86::gemm_sse2(a, s, b, o, n, k, m) });
-            }
-            if x86::level() >= x86::LVL_AVX2 {
-                // SAFETY: AVX2 verified just above; shapes as for SSE2.
-                tiers.push(|a, s, b, o, n, k, m| unsafe { x86::gemm_avx2(a, s, b, o, n, k, m) });
-            }
-        }
         for (si, &(n, k, m)) in SHAPES.iter().enumerate() {
             let a = filled(n, k, 600 + si as u32);
             let at = filled(k, n, 700 + si as u32);
             let b = filled(k, m, 800 + si as u32);
-            for kernel in &tiers {
+            for (_, tier) in tiers() {
                 for (lhs, strides, want) in [
                     (&a, (k, 1), naive_matmul(&a, &b)),
                     (&at, (1, n), naive_t_matmul(&at, &b)),
                 ] {
                     let mut out = Matrix::from_vec(n, m, vec![f32::NAN; n * m]);
-                    kernel(&lhs.data, strides, &b.data, &mut out.data, n, k, m);
+                    let (o, start) = (&mut out.data, Start::Zero);
+                    // SAFETY: `tiers` lists only tiers this CPU runs.
+                    unsafe { gemm_on(tier, &lhs.data, strides, &b.data, o, n, k, m, start) };
                     assert_bits_eq(&out, &want);
                 }
             }

@@ -9,9 +9,12 @@
 //! Property: `matmul` / `t_matmul` / `matmul_t` are **bitwise** identical
 //! to the naive reference loops (single accumulator starting at +0.0,
 //! ascending inner index, no zero-skip) across ragged shapes and at every
-//! layer shape of the default model.
+//! layer shape of the default model. Every tier of the gathered-start
+//! GEMM is bitwise identical to the same chain started at its gathered
+//! `init` row.
 
 use proptest::TestRng;
+use spg_nn::matrix::gathered_tiers;
 use spg_nn::Matrix;
 
 /// Ragged-leaning dimension pool: 1 and Nx1/1xN shapes, non-multiples of
@@ -106,6 +109,52 @@ fn check_strict(n: usize, k: usize, m: usize, seed: u64) -> Result<(), String> {
     let bt = fill(m, k, &mut rng);
     if bits(&a.matmul_t(&bt)) != bits(&naive_matmul_t(&a, &bt)) {
         return Err("matmul_t".into());
+    }
+    Ok(())
+}
+
+/// The naive chain of `Matrix::matmul_gathered_into`: element `(i, j)`
+/// starts at `init[idx[i]][j]`, then adds `a[i][kk] * b[kk][j]` for
+/// ascending `kk`.
+fn naive_gathered(a: &Matrix, b: &Matrix, init: &Matrix, idx: &[u32]) -> Matrix {
+    let mut out = Matrix::zeros(a.rows, b.cols);
+    for (i, &r) in idx.iter().enumerate() {
+        for j in 0..b.cols {
+            let mut s = init.get(r as usize, j);
+            for kk in 0..a.cols {
+                s += a.get(i, kk) * b.get(kk, j);
+            }
+            out.set(i, j, s);
+        }
+    }
+    out
+}
+
+/// One gathered case: `n` output rows over an `init` of `rows` rows,
+/// indices drawn with repeats and in no order, every tier called
+/// directly into a NaN-filled `out`, then the dispatched entry.
+fn check_gathered(n: usize, k: usize, m: usize, rows: usize, seed: u64) -> Result<(), String> {
+    let mut rng = TestRng::new(seed);
+    let a = fill(n, k, &mut rng);
+    let b = fill(k, m, &mut rng);
+    let init = fill(rows, m, &mut rng);
+    let idx: Vec<u32> = (0..n).map(|_| rng.below(rows as u64) as u32).collect();
+    let want = bits(&naive_gathered(&a, &b, &init, &idx));
+    // `b` as a band below three other rows, as the layers read it.
+    let mut stacked = fill(3, m, &mut rng);
+    stacked.data.extend_from_slice(&b.data);
+    stacked.rows += k;
+    for (name, kernel) in gathered_tiers() {
+        let mut out = Matrix::from_vec(n, m, vec![f32::NAN; n * m]);
+        kernel(&a, &stacked, 3, &init, &idx, &mut out);
+        if bits(&out) != want {
+            return Err(format!("gathered {name} tier"));
+        }
+    }
+    let mut out = Matrix::from_vec(n, m, vec![f32::NAN; n * m]);
+    a.matmul_gathered_into(&stacked, 3, &init, &idx, &mut out);
+    if bits(&out) != want {
+        return Err("matmul_gathered_into".into());
     }
     Ok(())
 }
@@ -206,5 +255,55 @@ fn ragged_shape_pins() {
     }
     for (n, k, m) in shapes {
         check_strict(n, k, m, 42).unwrap_or_else(|op| panic!("{op} at {n}x{k}x{m}"));
+    }
+}
+
+#[test]
+fn gathered_kernels_match_naive_bitwise() {
+    run_cases(
+        "gathered_kernels_match_naive_bitwise",
+        150,
+        |n, k, m, seed| {
+            // As many init rows as output rows, fewer, or more.
+            let rows = [n, n.div_ceil(3), 2 * n + 1][(seed % 3) as usize];
+            check_gathered(n, k, m, rows, seed)
+        },
+    );
+}
+
+/// k = 0 copies the gathered init rows exactly, −0.0 included; a chain
+/// started at −0.0 whose every product is ±0.0 stays −0.0, where the
+/// plain kernel's +0.0 start would give +0.0. The model's shapes follow:
+/// the message layer's node band `(N, 24, 24)` then edge band
+/// `(R, 4, 24)`, and the merge layer's head band then its tail.
+#[test]
+fn gathered_pins() {
+    for (n, m, rows) in [(1, 1, 1), (5, 9, 2), (33, 24, 7), (4, 40, 4)] {
+        let init = Matrix::from_vec(
+            rows,
+            m,
+            (0..rows * m).map(|x| [-0.0, 0.0, 1.5][x % 3]).collect(),
+        );
+        let idx: Vec<u32> = (0..n).map(|i| ((i * 5 + 3) % rows) as u32).collect();
+        let (empty, none) = (Matrix::zeros(n, 0), Matrix::zeros(0, m));
+        let want = bits(&naive_gathered(&empty, &none, &init, &idx));
+        let zeros = Matrix::from_vec(n, 2, vec![-0.0; 2 * n]);
+        let want_zero_terms = bits(&naive_gathered(&zeros, &Matrix::zeros(2, m), &init, &idx));
+        for (name, kernel) in gathered_tiers() {
+            let mut out = Matrix::from_vec(n, m, vec![f32::NAN; n * m]);
+            kernel(&empty, &none, 0, &init, &idx, &mut out);
+            assert_eq!(bits(&out), want, "{name}: k = 0 at {n}x{m}");
+            assert!(out.data.iter().any(|x| x.to_bits() == (-0.0f32).to_bits()));
+            kernel(&zeros, &Matrix::zeros(2, m), 0, &init, &idx, &mut out);
+            assert_eq!(bits(&out), want_zero_terms, "{name}: ±0.0 terms at {n}x{m}");
+        }
+    }
+    for v in [201, 202, 203, 204] {
+        for rows in [344, 394, 797, 800] {
+            for (k, m) in [(24, 24), (4, 24), (32, 24)] {
+                check_gathered(rows, k, m, v, 42)
+                    .unwrap_or_else(|op| panic!("{op} at {rows}x{k}x{m} from {v}"));
+            }
+        }
     }
 }
