@@ -51,6 +51,30 @@ pub trait InferLayer {
     /// output_dim`); any staging buffers come from `scratch`.
     fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Matrix);
 
+    /// [`Self::forward_infer`] over the rows `[nodes[idx[i]] : tail[i]]`,
+    /// into `out` (`idx.len() x output_dim`). The default gathers and
+    /// concatenates those rows, then runs the plain forward; a layer may
+    /// instead work on each node row once, as long as every output row
+    /// keeps the default's bits.
+    fn forward_gathered(
+        &self,
+        nodes: &Matrix,
+        idx: &[u32],
+        tail: &Matrix,
+        scratch: &mut InferenceScratch,
+        out: &mut Matrix,
+    ) {
+        let w = nodes.cols;
+        let mut cat = scratch.take(idx.len(), w + tail.cols);
+        for (i, &v) in idx.iter().enumerate() {
+            let row = cat.row_mut(i);
+            row[..w].copy_from_slice(nodes.row(v as usize));
+            row[w..].copy_from_slice(tail.row(i));
+        }
+        self.forward_infer(&cat, scratch, out);
+        scratch.put(cat);
+    }
+
     /// The in-place tanh that follows this precision's layers.
     fn tanh_assign(m: &mut Matrix);
 }
@@ -66,6 +90,33 @@ impl InferLayer for Linear {
         let w = self.w.0.borrow();
         let b = self.b.0.borrow();
         x.matmul_into(&w.value, out);
+        out.add_row_assign(&b.value);
+    }
+
+    /// Projects every node row once through the weight rows that face
+    /// the node columns, then continues each gathered row's chains over
+    /// the tail columns from its node's projection
+    /// ([`Matrix::matmul_gathered_into`]) and adds the bias last: the
+    /// same chain of roundings as the default's concatenated row.
+    fn forward_gathered(
+        &self,
+        nodes: &Matrix,
+        idx: &[u32],
+        tail: &Matrix,
+        scratch: &mut InferenceScratch,
+        out: &mut Matrix,
+    ) {
+        let w = self.w.0.borrow();
+        let b = self.b.0.borrow();
+        assert_eq!(
+            nodes.cols + tail.cols,
+            w.value.rows,
+            "gathered width mismatch"
+        );
+        let mut proj = scratch.take(nodes.rows, w.value.cols);
+        nodes.matmul_rows_into(&w.value, 0, &mut proj);
+        tail.matmul_gathered_into(&w.value, nodes.cols, &proj, idx, out);
+        scratch.put(proj);
         out.add_row_assign(&b.value);
     }
 
@@ -142,25 +193,44 @@ impl<L: InferLayer> Mlp<L> {
     /// `Mlp<Linear>` is bitwise identical to [`Mlp::forward`]. The
     /// returned matrix comes from the arena — `put` it back when done.
     pub fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch) -> Matrix {
-        let last = self.layers.len() - 1;
-        let mut cur: Option<Matrix> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let xin = cur.as_ref().unwrap_or(x);
-            let mut out = scratch.take(xin.rows, layer.output_dim());
-            layer.forward_infer(xin, scratch, &mut out);
-            if i != last {
-                match self.activation {
-                    Activation::Tanh => L::tanh_assign(&mut out),
-                    Activation::Relu => out.relu_assign(),
-                    Activation::Sigmoid => out.sigmoid_assign(),
-                }
-            }
-            if let Some(prev) = cur.take() {
-                scratch.put(prev);
-            }
-            cur = Some(out);
+        let mut out = scratch.take(x.rows, self.layers[0].output_dim());
+        self.layers[0].forward_infer(x, scratch, &mut out);
+        self.forward_rest(out, scratch)
+    }
+
+    /// [`Self::forward_infer`] over the rows `[nodes[idx[i]] : tail[i]]`:
+    /// the first layer takes them through [`InferLayer::forward_gathered`].
+    pub fn forward_gathered_infer(
+        &self,
+        nodes: &Matrix,
+        idx: &[u32],
+        tail: &Matrix,
+        scratch: &mut InferenceScratch,
+    ) -> Matrix {
+        let mut out = scratch.take(idx.len(), self.layers[0].output_dim());
+        self.layers[0].forward_gathered(nodes, idx, tail, scratch, &mut out);
+        self.forward_rest(out, scratch)
+    }
+
+    /// Everything after the first layer's affine map, given its output.
+    fn forward_rest(&self, mut cur: Matrix, scratch: &mut InferenceScratch) -> Matrix {
+        for layer in &self.layers[1..] {
+            self.activate(&mut cur);
+            let mut out = scratch.take(cur.rows, layer.output_dim());
+            layer.forward_infer(&cur, scratch, &mut out);
+            scratch.put(cur);
+            cur = out;
         }
-        cur.expect("Mlp has at least one layer")
+        cur
+    }
+
+    /// The hidden-layer activation, in place.
+    fn activate(&self, m: &mut Matrix) {
+        match self.activation {
+            Activation::Tanh => L::tanh_assign(m),
+            Activation::Relu => m.relu_assign(),
+            Activation::Sigmoid => m.sigmoid_assign(),
+        }
     }
 }
 

@@ -15,12 +15,15 @@ use crate::quant::QuantScratch;
 /// `take` returns a zero-filled matrix (reusing the largest pooled
 /// allocation that fits, growing it if needed); `put` returns a matrix's
 /// storage to the pool. Dropping a taken matrix instead of `put`ting it
-/// back is safe — the arena just loses that buffer's reuse. The int8
-/// layers also stage their activation codes and accumulators here, so
-/// both precisions' forwards take the same arguments.
+/// back is safe — the arena just loses that buffer's reuse. Index
+/// buffers (row maps of gathered forwards) pool the same way through
+/// `take_idx`/`put_idx`. The int8 layers also stage their activation
+/// codes and accumulators here, so both precisions' forwards take the
+/// same arguments.
 #[derive(Debug, Default)]
 pub struct InferenceScratch {
     free: Vec<Vec<f32>>,
+    free_idx: Vec<Vec<u32>>,
     pub(crate) quant: QuantScratch,
 }
 
@@ -32,20 +35,8 @@ impl InferenceScratch {
 
     /// A zero-filled `rows x cols` matrix from the pool.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let len = rows * cols;
-        // Prefer the largest pooled buffer so small requests don't pin
-        // big allocations under short-lived bindings.
-        let mut data = match self
-            .free
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| v.capacity())
-        {
-            Some((idx, _)) => self.free.swap_remove(idx),
-            None => Vec::with_capacity(len),
-        };
-        data.clear();
-        data.resize(len, 0.0);
+        let mut data = take_largest(&mut self.free);
+        data.resize(rows * cols, 0.0);
         Matrix { rows, cols, data }
     }
 
@@ -54,10 +45,34 @@ impl InferenceScratch {
         self.free.push(m.data);
     }
 
+    /// An empty index buffer from the pool, its capacity kept.
+    pub fn take_idx(&mut self) -> Vec<u32> {
+        take_largest(&mut self.free_idx)
+    }
+
+    /// Return an index buffer to the pool.
+    pub fn put_idx(&mut self, v: Vec<u32>) {
+        self.free_idx.push(v);
+    }
+
     /// Number of pooled buffers (diagnostics/tests).
     pub fn pooled(&self) -> usize {
         self.free.len()
     }
+}
+
+/// The pooled buffer with the most capacity, cleared (or a new one).
+/// Preferring the largest keeps small requests from pinning big
+/// allocations under short-lived bindings.
+fn take_largest<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    let largest = pool
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, v)| v.capacity())
+        .map(|(i, _)| i);
+    let mut v = largest.map_or_else(Vec::new, |i| pool.swap_remove(i));
+    v.clear();
+    v
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! generated corpus spanning the paper settings, plus the degenerate pins
 //! (edgeless graph, single node, single edge), with one scratch arena and
 //! one union builder reused across the whole corpus the way the serve
-//! batcher reuses them.
+//! batcher reuses them. The tape-free forward computes each distinct
+//! message row once, so the last tests aim at that dedup: stars whose
+//! channels mostly repeat, both ablations, and feature rows that differ
+//! only in the sign of a zero.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -110,4 +113,107 @@ fn batched_union_with_key_cache_is_bitwise_identical() {
         );
     }
     assert_eq!(first, second, "key-cached batch changed results");
+}
+
+/// A star of `leaves` channels around one hub, fanning out from it or in
+/// to it. Every 97th channel carries another payload, so most channels
+/// of the hub repeat one feature row.
+fn star(leaves: usize, fan_out: bool) -> StreamGraph {
+    let mut b = StreamGraphBuilder::new();
+    let hub = b.add_node(Operator::new(300.0));
+    for i in 0..leaves {
+        let leaf = b.add_node(Operator::new(100.0));
+        let ch = Channel::new(if i % 97 == 0 { 2048.0 } else { 64.0 });
+        let (u, v) = if fan_out { (hub, leaf) } else { (leaf, hub) };
+        b.add_edge(u, v, ch).unwrap();
+    }
+    b.finish().unwrap()
+}
+
+/// Solo and union-batched tape-free probabilities of every item must
+/// equal the tape's bit for bit.
+fn assert_matches_tape(model: &CoarsenModel, items: &[(&StreamGraph, &GraphFeatures)], what: &str) {
+    let mut scratch = InferenceScratch::new();
+    let mut union = BatchUnion::new();
+    let batched = model.predict_probs_batch_with(&mut union, &mut scratch, None, items);
+    for (i, &(graph, feats)) in items.iter().enumerate() {
+        let want: Vec<u32> = tape_probs(model, graph, feats)
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        let solo = model.infer_probs(graph, feats, &mut scratch);
+        let bits = |ps: &[f32]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&solo),
+            want,
+            "{what}, item {i}: solo diverged from tape"
+        );
+        assert_eq!(
+            bits(&batched[i]),
+            want,
+            "{what}, item {i}: batch diverged from tape"
+        );
+    }
+}
+
+#[test]
+fn message_dedup_on_stars_and_ablations_is_bitwise_identical() {
+    let cluster = ClusterSpec::paper_medium(4);
+    let spec = DatasetSpec::scaled_down(Setting::Medium);
+    let graphs = [
+        star(2400, true),
+        star(2100, false),
+        spg::gen::generate_graph(&spec, 5),
+    ];
+    let feats: Vec<GraphFeatures> = graphs
+        .iter()
+        .map(|g| GraphFeatures::extract(g, &cluster, 1e4))
+        .collect();
+    let items: Vec<(&StreamGraph, &GraphFeatures)> = graphs.iter().zip(&feats).collect();
+    for (what, cfg) in [
+        ("default", CoarsenConfig::default()),
+        ("no edge encoding", CoarsenConfig::without_edge_encoding()),
+        (
+            "no edge collapse features",
+            CoarsenConfig::without_edge_collapse_features(),
+        ),
+    ] {
+        let model = CoarsenModel::new(cfg, &mut ChaCha8Rng::seed_from_u64(3));
+        assert_matches_tape(&model, &items, what);
+    }
+}
+
+/// Two out-edges of one source whose feature rows differ only by +0.0
+/// against -0.0 in one column are different rows to the dedup (it keys
+/// on bits); the probabilities must still be the tape's.
+#[test]
+fn message_dedup_keeps_signed_zero_rows_apart() {
+    let mut b = StreamGraphBuilder::new();
+    let hub = b.add_node(Operator::new(100.0));
+    let leaves: Vec<_> = (0..4).map(|_| b.add_node(Operator::new(50.0))).collect();
+    for &leaf in &leaves {
+        b.add_edge(hub, leaf, Channel::new(10.0)).unwrap();
+    }
+    b.add_edge(leaves[0], leaves[1], Channel::new(10.0))
+        .unwrap();
+    let graph = b.finish().unwrap();
+    let mut feats = GraphFeatures::extract(&graph, &ClusterSpec::paper_medium(3), 1e4);
+    let rows = [
+        [0.5, 0.25, 0.0, 1.0],
+        [0.5, 0.25, -0.0, 1.0],
+        [0.5, 0.25, 0.0, 1.0],
+        [-0.0, 0.0, -0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ];
+    feats.edge.0 = rows.concat();
+    let other = star(30, true);
+    let other_feats = GraphFeatures::extract(&other, &ClusterSpec::paper_medium(3), 1e4);
+    let items = [(&graph, &feats), (&other, &other_feats)];
+    for cfg in [
+        CoarsenConfig::default(),
+        CoarsenConfig::without_edge_encoding(),
+    ] {
+        let model = CoarsenModel::new(cfg, &mut ChaCha8Rng::seed_from_u64(11));
+        assert_matches_tape(&model, &items, "signed zeros");
+    }
 }
