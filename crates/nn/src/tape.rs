@@ -136,11 +136,7 @@ impl Tape {
         assert_eq!(mb.rows, 1, "bias must be a row vector");
         assert_eq!(ma.cols, mb.cols, "bias width mismatch");
         let mut v = ma.clone();
-        for r in 0..v.rows {
-            for c in 0..v.cols {
-                v.data[r * v.cols + c] += mb.data[c];
-            }
-        }
+        v.add_row_assign(mb);
         self.push(v, Op::AddRow(a.0, bias.0))
     }
 

@@ -62,14 +62,17 @@ impl GraphFeatures {
         let max_depth = depth.iter().copied().max().unwrap_or(0).max(1) as f32;
 
         let mut node = Vec::with_capacity(n * NODE_FEATURES);
+        // Each node's outgoing traffic, kept for its out-edges' share.
+        let mut out_payload = Vec::with_capacity(n);
         for v in graph.node_ids() {
             let r = rates.node[v.idx()];
             let cpu_util = (graph.op(v).ipt * r / dev_capacity) as f32;
-            let out_payload: f64 = graph
+            let payload: f64 = graph
                 .out_edges(v)
                 .map(|(_, e)| rates.edge[e.idx()] * graph.channel(e).payload)
                 .sum();
-            let out_sat = (out_payload / bw) as f32;
+            out_payload.push(payload);
+            let out_sat = (payload / bw) as f32;
             node.push(cpu_util);
             node.push(out_sat);
             node.push(degree_feature(graph.in_degree(v)));
@@ -86,10 +89,7 @@ impl GraphFeatures {
             edge.push((1.0 + sat as f64).ln() as f32);
             edge.push((rates.edge[e.idx()] / source_rate) as f32);
             // How dominant is this edge among its source's outputs?
-            let src_out: f64 = graph
-                .out_edges(s)
-                .map(|(_, ee)| rates.edge[ee.idx()] * graph.channel(ee).payload)
-                .sum();
+            let src_out = out_payload[s.idx()];
             edge.push(if src_out > 0.0 {
                 (traffic / src_out) as f32
             } else {
@@ -175,6 +175,72 @@ mod tests {
         assert_eq!(f.node_row(NodeId(1))[4], 0.0);
         assert_eq!(f.node_row(NodeId(0))[5], 0.0); // depth 0
         assert_eq!(f.node_row(NodeId(1))[5], 1.0); // depth 1 of max 1
+    }
+
+    /// The edge share computed the way it was before the per-node sum
+    /// was kept: re-summing the source's outgoing traffic per edge.
+    fn share_per_edge(graph: &StreamGraph, rates: &TupleRates) -> Vec<u32> {
+        graph
+            .edges_iter()
+            .map(|(e, s, _)| {
+                let traffic = rates.edge[e.idx()] * graph.channel(e).payload;
+                let src_out: f64 = graph
+                    .out_edges(s)
+                    .map(|(_, ee)| rates.edge[ee.idx()] * graph.channel(ee).payload)
+                    .sum();
+                let share = if src_out > 0.0 {
+                    (traffic / src_out) as f32
+                } else {
+                    0.0
+                };
+                share.to_bits()
+            })
+            .collect()
+    }
+
+    /// A seeded DAG: node `v` draws up to 4 producers among earlier
+    /// nodes, with channel payloads from a small set so sums repeat.
+    fn random_dag(nodes: usize, seed: u64) -> StreamGraph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut b = StreamGraphBuilder::new();
+        let ids: Vec<NodeId> = (0..nodes)
+            .map(|_| b.add_node(Operator::new(rng.gen_range(10.0..5000.0))))
+            .collect();
+        for v in 1..nodes {
+            let mut preds: Vec<usize> = (0..rng.gen_range(1..=4))
+                .map(|_| rng.gen_range(0..v))
+                .collect();
+            preds.sort_unstable();
+            preds.dedup();
+            for u in preds {
+                let payload = [0.0, 10.0, 64.0, 1500.0][rng.gen_range(0..4usize)];
+                b.add_edge(ids[u], ids[v], Channel::new(payload)).unwrap();
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn edge_share_matches_per_edge_sum() {
+        let cluster = ClusterSpec::paper_medium(4);
+        let mut graphs: Vec<StreamGraph> = (0..8).map(|seed| random_dag(40, seed)).collect();
+        let mut star = StreamGraphBuilder::new();
+        let hub = star.add_node(Operator::new(100.0));
+        for i in 0..3000 {
+            let leaf = star.add_node(Operator::new(50.0));
+            let payload = if i % 7 == 0 { 512.0 } else { 100.0 };
+            star.add_edge(hub, leaf, Channel::new(payload)).unwrap();
+        }
+        graphs.push(star.finish().unwrap());
+        for (i, g) in graphs.iter().enumerate() {
+            let rates = TupleRates::compute(g, 1e4);
+            let f = GraphFeatures::extract_with_rates(g, &cluster, &rates);
+            let got: Vec<u32> = (0..g.num_edges())
+                .map(|e| f.edge_row(e)[3].to_bits())
+                .collect();
+            assert_eq!(got, share_per_edge(g, &rates), "graph {i}");
+        }
     }
 
     #[test]
