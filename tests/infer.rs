@@ -136,13 +136,10 @@ fn assert_matches_tape(model: &CoarsenModel, items: &[(&StreamGraph, &GraphFeatu
     let mut scratch = InferenceScratch::new();
     let mut union = BatchUnion::new();
     let batched = model.predict_probs_batch_with(&mut union, &mut scratch, None, items);
+    let bits = |ps: &[f32]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
     for (i, &(graph, feats)) in items.iter().enumerate() {
-        let want: Vec<u32> = tape_probs(model, graph, feats)
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
+        let want = bits(&tape_probs(model, graph, feats));
         let solo = model.infer_probs(graph, feats, &mut scratch);
-        let bits = |ps: &[f32]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             bits(&solo),
             want,
