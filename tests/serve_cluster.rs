@@ -411,6 +411,97 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
 }
 
 #[test]
+fn a_multi_request_batch_answers_each_request_as_a_solo_server_would() {
+    // A stall pinned on the first request parks the one replica while
+    // the rest queue behind it, so the next dequeue takes up to
+    // max_batch jobs at once. Every answer of those batches must be the
+    // byte-identical line a max_batch(1) server gives the same request
+    // sent alone, at both precisions.
+    let ck = quick_checkpoint(29);
+    let medium = DatasetSpec::scaled_down(Setting::Medium);
+    let graphs: Vec<_> = (0..12u64)
+        .map(|s| spg::gen::generate_graph(&medium, 700 + s))
+        .collect();
+    // Fingerprints use the server's defaults (the Small spec from
+    // spawn_server), not the graphs' generating spec.
+    let small = DatasetSpec::scaled_down(Setting::Small);
+    let fp0 = request_fingerprint(&graphs[0], small.cluster().devices, small.source_rate);
+    let ids: Vec<String> = (0..graphs.len()).map(|i| format!("b{i}")).collect();
+
+    for precision in [Precision::F32, Precision::Int8] {
+        let solo: Vec<String> = {
+            let cfg = ServeConfig::builder()
+                .replicas(1)
+                .max_batch(1)
+                .precision(precision)
+                .build()
+                .unwrap();
+            let (addr, handle) = spawn_server(cfg, ck.clone());
+            let mut client = Client::connect(&addr);
+            let lines = ids
+                .iter()
+                .zip(&graphs)
+                .map(|(id, g)| {
+                    client.send_line(&alloc_request(id, g).to_line());
+                    client.read_raw_line()
+                })
+                .collect();
+            client.shutdown();
+            handle.join().expect("server thread");
+            lines
+        };
+
+        let plan = inject::FaultInjector::new(0).at(
+            inject::Site::ReplicaWork,
+            precision.key(fp0),
+            inject::Fault::Stall,
+        );
+        // The timeout is raised so the queue never expires behind the
+        // stall on a slow machine.
+        let cfg = ServeConfig::builder()
+            .replicas(1)
+            .max_batch(8)
+            .request_timeout_ms(120_000)
+            .precision(precision)
+            .faults(plan)
+            .build()
+            .unwrap();
+        let (addr, handle) = spawn_server(cfg, ck.clone());
+        let mut client = Client::connect(&addr);
+        for (id, g) in ids.iter().zip(&graphs) {
+            client.send_line(&alloc_request(id, g).to_line());
+        }
+        let mut by_id = std::collections::HashMap::new();
+        for _ in 0..graphs.len() {
+            let line = client.read_raw_line();
+            let WireResponse::Ok(a) = WireResponse::parse(line.trim()).expect("parse response")
+            else {
+                panic!("{precision}: batched request failed: {line}")
+            };
+            by_id.insert(a.id, line);
+        }
+        client.shutdown();
+        let report = handle.join().expect("server thread");
+
+        for (id, want) in ids.iter().zip(&solo) {
+            assert_eq!(
+                by_id.get(id),
+                Some(want),
+                "{precision}: {id} in a batch must match its solo answer byte for byte"
+            );
+        }
+        assert_eq!(report.responses, graphs.len() as u64);
+        assert_eq!(report.errors, 0);
+        assert!(
+            report.batches < graphs.len() as u64,
+            "{precision}: {} batches for {} requests, so no batch held two",
+            report.batches,
+            graphs.len()
+        );
+    }
+}
+
+#[test]
 fn a_killed_replica_is_respawned_and_the_retry_is_bitwise_identical() {
     let ck = quick_checkpoint(25);
     let spec = DatasetSpec::scaled_down(Setting::Small);
