@@ -1,5 +1,5 @@
-//! Tape-free batched inference for [`CoarsenModel`] and its int8 form,
-//! [`QuantizedModel`].
+//! Tape-free inference for [`CoarsenModel`] and its int8 form,
+//! [`QuantizedModel`], one graph per forward.
 //!
 //! The training forward builds a [`spg_nn::Tape`]: every op allocates a
 //! node, every parameter use clones its matrix, and gather/segment passes
@@ -13,13 +13,12 @@
 //! forward has four properties:
 //!
 //! * **Zero steady-state allocation**: intermediates and index maps come
-//!   from an [`InferenceScratch`] arena reused across calls (and across
-//!   serve batches), weights are read in place through `RefCell` borrows.
-//! * **CSR-backed pooling**: segment means pull over
+//!   from an [`InferenceScratch`] arena reused across calls (a serve
+//!   replica holds one for its lifetime), weights are read in place
+//!   through `RefCell` borrows.
+//! * **CSR-backed pooling**: segment means pull over the graph's own
 //!   [`spg_graph::Csr`] buckets (ascending edge ids) instead of
-//!   scattering over a COO segment vector, and the batched path caches
-//!   the disjoint-union CSR in a [`BatchUnion`] keyed by the serve LRU
-//!   fingerprints.
+//!   scattering over a COO segment vector.
 //! * **Each distinct message once**: a message `tanh(W·[h_u : f_e] + b)`
 //!   depends only on its sender and the bits of its channel's features.
 //!   Once per forward, each view groups its edges into distinct (sender,
@@ -50,86 +49,6 @@ use spg_graph::{Csr, GraphFeatures, StreamGraph};
 use spg_nn::{InferLayer, Matrix, Mlp, QuantizedLinear};
 
 pub use spg_nn::InferenceScratch;
-
-/// A topology view for inference: edge list plus forward/reverse CSR.
-struct InferTopo<'a> {
-    num_nodes: usize,
-    edges: &'a [(u32, u32)],
-    /// Edges bucketed by source (pools the downstream view).
-    fwd: &'a Csr,
-    /// Edges bucketed by destination (pools the upstream view).
-    rev: &'a Csr,
-}
-
-/// Reusable disjoint-union builder for batched inference.
-///
-/// Holds the concatenated node/edge features, the offset edge list, and
-/// both union CSRs, all with capacity reuse across batches. When the
-/// caller supplies per-item cache keys (the serve LRU request
-/// fingerprints), an identical consecutive batch skips the rebuild
-/// entirely — the fingerprint covers graph topology, devices, and rate,
-/// which determine the features too.
-#[derive(Debug, Default)]
-pub struct BatchUnion {
-    node: Vec<f32>,
-    edge: Vec<f32>,
-    edges: Vec<(u32, u32)>,
-    num_nodes: usize,
-    fwd: Csr,
-    rev: Csr,
-    key: Option<Vec<u64>>,
-    hits: u64,
-}
-
-impl BatchUnion {
-    /// Empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// How many batches reused the cached union (diagnostics).
-    pub fn cache_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// (Re)build the union over `items[edged]`, or skip when `keys`
-    /// match the previous build.
-    fn build(
-        &mut self,
-        items: &[(&StreamGraph, &GraphFeatures)],
-        edged: &[usize],
-        keys: Option<&[u64]>,
-    ) {
-        let new_key: Option<Vec<u64>> = keys.map(|ks| edged.iter().map(|&i| ks[i]).collect());
-        if let (Some(nk), Some(ok)) = (&new_key, &self.key) {
-            if nk == ok {
-                self.hits += 1;
-                return;
-            }
-        }
-        self.node.clear();
-        self.edge.clear();
-        self.edges.clear();
-        let mut base = 0u32;
-        for &i in edged {
-            let (g, f) = items[i];
-            self.node.extend_from_slice(&f.node.0);
-            self.edge.extend_from_slice(&f.edge.0);
-            self.edges.extend(
-                g.topo_view()
-                    .edges
-                    .iter()
-                    .map(|&(u, v)| (u + base, v + base)),
-            );
-            base += g.num_nodes() as u32;
-        }
-        self.num_nodes = base as usize;
-        self.fwd.rebuild(self.num_nodes, self.edges.iter().copied());
-        self.rev
-            .rebuild(self.num_nodes, self.edges.iter().map(|&(u, v)| (v, u)));
-        self.key = new_key;
-    }
-}
 
 /// The distinct message rows of one view, shared by every hop of a
 /// forward. A message is a row-wise function of `[h[sender] : ef[e]]`,
@@ -246,33 +165,26 @@ fn concat2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 impl<L: InferLayer> EdgeAwareGnn<L> {
-    /// Tape-free [`EdgeAwareGnn::encode`]: returns the `[N x 2m]` node
-    /// representation as an arena matrix (bitwise identical to the tape
-    /// path for f32 layers). `put` it back when done.
+    /// Tape-free [`EdgeAwareGnn::encode`] of a graph with at least one
+    /// edge: returns the `[N x 2m]` node representation as an arena
+    /// matrix (bitwise identical to the tape path for f32 layers). `put`
+    /// it back when done.
     fn encode_infer(
         &self,
-        topo: &InferTopo<'_>,
-        node_feats: &[f32],
-        edge_feats: &[f32],
+        graph: &StreamGraph,
+        feats: &GraphFeatures,
         s: &mut InferenceScratch,
     ) -> Matrix {
-        let n = topo.num_nodes;
-        let e = topo.edges.len();
+        let n = graph.num_nodes();
+        let e = graph.num_edges();
         let m = self.hidden;
 
         let mut nf = s.take(n, NODE_FEATURES);
-        nf.data.copy_from_slice(node_feats);
+        nf.data.copy_from_slice(&feats.node.0);
         let mut h_up = s.take(n, m);
         self.input_proj.forward_infer(&nf, s, &mut h_up);
         s.put(nf);
         L::tanh_assign(&mut h_up);
-
-        if e == 0 {
-            let mut out = s.take(n, 2 * m);
-            concat2(&h_up, &h_up, &mut out);
-            s.put(h_up);
-            return out;
-        }
 
         let mut h_down = s.take(n, m);
         h_down.data.copy_from_slice(&h_up.data);
@@ -280,12 +192,12 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
         // Zeroed when the edge-encoding ablation is off, like the tape path.
         let mut ef = s.take(e, EDGE_FEATURES);
         if self.edge_encoding {
-            ef.data.copy_from_slice(edge_feats);
+            ef.data.copy_from_slice(&feats.edge.0);
         }
         // Upstream messages are sent by edge sources (out-CSR buckets),
         // downstream ones by edge destinations (in-CSR buckets).
-        let up = MessageRows::build(topo.fwd, &ef, s);
-        let down = MessageRows::build(topo.rev, &ef, s);
+        let up = MessageRows::build(graph.out_csr(), &ef, s);
+        let down = MessageRows::build(graph.in_csr(), &ef, s);
         s.put(ef);
 
         let mut pool = s.take(n, m);
@@ -294,7 +206,7 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
             // Upstream view: messages flow along edge direction to dst.
             let msg = up.messages(&self.msg, &h_up, s);
             pool.fill_zero();
-            segment_mean_csr(&msg, &up.of_edge, topo.rev, &mut pool);
+            segment_mean_csr(&msg, &up.of_edge, graph.in_csr(), &mut pool);
             s.put(msg);
             concat2(&h_up, &pool, &mut cat2);
             let mut up_new = s.take(n, m);
@@ -304,7 +216,7 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
             // Downstream view: messages flow against edge direction to src.
             let msg = down.messages(&self.msg, &h_down, s);
             pool.fill_zero();
-            segment_mean_csr(&msg, &down.of_edge, topo.fwd, &mut pool);
+            segment_mean_csr(&msg, &down.of_edge, graph.out_csr(), &mut pool);
             s.put(msg);
             concat2(&h_down, &pool, &mut cat2);
             let mut down_new = s.take(n, m);
@@ -335,12 +247,12 @@ impl<L: InferLayer> CollapseHead<L> {
     /// layers).
     fn logits_infer(
         &self,
-        topo: &InferTopo<'_>,
-        edge_feats: &[f32],
+        graph: &StreamGraph,
+        feats: &GraphFeatures,
         h: &Matrix,
         s: &mut InferenceScratch,
     ) -> Matrix {
-        let e = topo.edges.len();
+        let e = graph.num_edges();
         assert!(e > 0, "logits need at least one edge");
         let n = h.rows;
         let m = self.head_proj.output_dim();
@@ -353,7 +265,7 @@ impl<L: InferLayer> CollapseHead<L> {
 
         let mut ef_in = s.take(e, EDGE_FEATURES);
         if self.edge_collapse_features {
-            ef_in.data.copy_from_slice(edge_feats);
+            ef_in.data.copy_from_slice(&feats.edge.0);
         }
         let mut ef = s.take(e, eh);
         self.edge_proj.forward_infer(&ef_in, s, &mut ef);
@@ -364,7 +276,7 @@ impl<L: InferLayer> CollapseHead<L> {
         // its head segment goes through the gathered forward.
         let mut tail = s.take(e, m + eh);
         let mut src = s.take_idx();
-        for (i, &(u, v)) in topo.edges.iter().enumerate() {
+        for (i, &(u, v)) in graph.edge_list().iter().enumerate() {
             let row = tail.row_mut(i);
             row[..m].copy_from_slice(tail_all.row(v as usize));
             row[m..].copy_from_slice(ef.row(i));
@@ -394,78 +306,12 @@ impl<L: InferLayer> CoarsenNet<L> {
         if graph.num_edges() == 0 {
             return Vec::new();
         }
-        let view = graph.topo_view();
-        let topo = InferTopo {
-            num_nodes: view.num_nodes,
-            edges: view.edges,
-            fwd: graph.out_csr(),
-            rev: graph.in_csr(),
-        };
-        self.infer_probs_topo(&topo, &feats.node.0, &feats.edge.0, scratch)
-    }
-
-    fn infer_probs_topo(
-        &self,
-        topo: &InferTopo<'_>,
-        node_feats: &[f32],
-        edge_feats: &[f32],
-        scratch: &mut InferenceScratch,
-    ) -> Vec<f32> {
-        let h = self
-            .encoder
-            .encode_infer(topo, node_feats, edge_feats, scratch);
-        let z = self.head.logits_infer(topo, edge_feats, &h, scratch);
+        let h = self.encoder.encode_infer(graph, feats, scratch);
+        let z = self.head.logits_infer(graph, feats, &h, scratch);
         scratch.put(h);
         let probs = z.data.iter().map(|&x| sigmoid(x)).collect();
         scratch.put(z);
         probs
-    }
-
-    /// Batched tape-free inference with explicit state: `union` and
-    /// `scratch` persist across calls (the serve batcher owns one of
-    /// each), and `keys` — one cache key per item, typically the serve
-    /// LRU request fingerprint — lets an identical consecutive batch skip
-    /// the union rebuild.
-    ///
-    /// Single-edged-graph batches (the common serve case after in-batch
-    /// dedup) skip the union entirely and run on the graph's own CSR.
-    /// Results are bitwise identical to solo [`Self::infer_probs`] calls;
-    /// edgeless graphs get empty vectors.
-    pub fn predict_probs_batch_with(
-        &self,
-        union: &mut BatchUnion,
-        scratch: &mut InferenceScratch,
-        keys: Option<&[u64]>,
-        items: &[(&StreamGraph, &GraphFeatures)],
-    ) -> Vec<Vec<f32>> {
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
-        let edged: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].0.num_edges() > 0)
-            .collect();
-        if edged.is_empty() {
-            return out;
-        }
-        if edged.len() == 1 {
-            let (g, f) = items[edged[0]];
-            out[edged[0]] = self.infer_probs(g, f, scratch);
-            return out;
-        }
-
-        union.build(items, &edged, keys);
-        let topo = InferTopo {
-            num_nodes: union.num_nodes,
-            edges: &union.edges,
-            fwd: &union.fwd,
-            rev: &union.rev,
-        };
-        let probs = self.infer_probs_topo(&topo, &union.node, &union.edge, scratch);
-        let mut pos = 0;
-        for &i in &edged {
-            let e = items[i].0.num_edges();
-            out[i] = probs[pos..pos + e].to_vec();
-            pos += e;
-        }
-        out
     }
 }
 
@@ -491,20 +337,6 @@ impl CoarsenModel {
         scratch: &mut InferenceScratch,
     ) -> Vec<f32> {
         self.net.infer_probs(graph, feats, scratch)
-    }
-
-    /// Batched tape-free inference with explicit state; see
-    /// [`CoarsenNet::predict_probs_batch_with`]. Results are bitwise
-    /// identical to solo [`CoarsenModel::infer_probs`] calls.
-    pub fn predict_probs_batch_with(
-        &self,
-        union: &mut BatchUnion,
-        scratch: &mut InferenceScratch,
-        keys: Option<&[u64]>,
-        items: &[(&StreamGraph, &GraphFeatures)],
-    ) -> Vec<Vec<f32>> {
-        self.net
-            .predict_probs_batch_with(union, scratch, keys, items)
     }
 
     /// Quantize every weight matrix into an int8 [`QuantizedModel`].

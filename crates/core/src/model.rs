@@ -3,7 +3,7 @@
 use crate::collapse::CollapseHead;
 use crate::config::CoarsenConfig;
 use crate::encoder::EdgeAwareGnn;
-use crate::infer::{BatchUnion, InferenceScratch};
+use crate::infer::InferenceScratch;
 use rand::Rng;
 use spg_graph::{ClusterSpec, GraphFeatures, StreamGraph};
 use spg_nn::{Linear, ParamSet, Tape, Var};
@@ -83,32 +83,6 @@ impl CoarsenModel {
     pub fn num_parameters(&self) -> usize {
         self.params.num_scalars()
     }
-
-    /// Inference-only probabilities for many graphs in **one** forward
-    /// pass, returned in input order.
-    ///
-    /// The batch is encoded as a disjoint union: node features are
-    /// concatenated and edge endpoints offset by each graph's node base.
-    /// Every op on the inference path is row-wise or segment-wise
-    /// (gathers, per-row linears, per-destination mean pooling), and a
-    /// union never mixes segments across graphs, so each graph's
-    /// probabilities are **bitwise identical** to a solo
-    /// [`Self::predict_probs_with_features`] call — batching is purely a
-    /// throughput optimisation (one weight traversal).
-    ///
-    /// Edgeless graphs are excluded from the union (their solo pass
-    /// early-returns before message passing, which a union would not
-    /// replicate) and simply get an empty probability vector.
-    ///
-    /// This is a convenience wrapper over
-    /// [`Self::predict_probs_batch_with`], which additionally reuses the
-    /// union builder and scratch arena across calls (the serve batcher
-    /// holds both).
-    pub fn predict_probs_batch(&self, items: &[(&StreamGraph, &GraphFeatures)]) -> Vec<Vec<f32>> {
-        let mut union = BatchUnion::new();
-        let mut scratch = InferenceScratch::new();
-        self.predict_probs_batch_with(&mut union, &mut scratch, None, items)
-    }
 }
 
 /// The numerically stable sigmoid shared with the tape ops (identical
@@ -162,43 +136,6 @@ mod tests {
         let g = tiny();
         let c = ClusterSpec::paper_medium(4);
         assert_eq!(m1.predict_probs(&g, &c, 1e4), m2.predict_probs(&g, &c, 1e4));
-    }
-
-    #[test]
-    fn batched_probs_are_bitwise_identical_to_solo() {
-        use spg_gen::{DatasetSpec, Setting};
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let model = CoarsenModel::new(CoarsenConfig::default(), &mut rng);
-        let spec = DatasetSpec::scaled_down(Setting::Small);
-        let cluster = spec.cluster();
-
-        let mut edgeless = StreamGraphBuilder::new();
-        edgeless.add_node(Operator::new(1.0));
-        let graphs = [
-            spg_gen::generate_graph(&spec, 0),
-            edgeless.finish().unwrap(),
-            spg_gen::generate_graph(&spec, 1),
-            tiny(),
-        ];
-        let feats: Vec<_> = graphs
-            .iter()
-            .map(|g| spg_graph::GraphFeatures::extract(g, &cluster, spec.source_rate))
-            .collect();
-        let items: Vec<(&StreamGraph, &spg_graph::GraphFeatures)> =
-            graphs.iter().zip(&feats).collect();
-
-        let batched = model.predict_probs_batch(&items);
-        assert_eq!(batched.len(), graphs.len());
-        for (i, (g, f)) in items.iter().enumerate() {
-            let solo = model.predict_probs_with_features(g, f);
-            assert_eq!(solo.len(), g.num_edges());
-            assert_eq!(
-                solo.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                batched[i].iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                "graph {i}: batched probs must be bitwise identical to solo"
-            );
-        }
-        assert!(batched[1].is_empty(), "edgeless graph gets empty probs");
     }
 
     #[test]

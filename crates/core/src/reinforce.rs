@@ -420,24 +420,6 @@ impl<P: CoarsePlacer> ReinforceTrainer<P> {
         }
     }
 
-    /// Positional constructor, kept for compatibility; prefer
-    /// [`ReinforceTrainer::builder`].
-    pub fn new(
-        model: CoarsenModel,
-        placer: P,
-        graphs: Vec<StreamGraph>,
-        cluster: ClusterSpec,
-        source_rate: f64,
-        options: TrainOptions,
-    ) -> Self {
-        Self::builder(model, placer)
-            .graphs(graphs)
-            .cluster(cluster)
-            .source_rate(source_rate)
-            .options(options)
-            .build()
-    }
-
     /// Number of training graphs.
     pub fn num_graphs(&self) -> usize {
         self.instances.len()

@@ -15,11 +15,11 @@
 //!   [`router::shard_of`]), so a repeat graph always lands on the
 //!   replica whose cache already holds its placement.
 //!
-//! Each replica coalesces up to `max_batch` queued requests, answers
-//! repeats from its LRU shard, runs **one** encoder forward pass over
-//! the batch (`CoarsenModel::predict_probs_batch`), and fans decode →
-//! placement → simulation over the deterministic worker pool
-//! (`spg_core::rollout`).
+//! Each replica takes up to `max_batch` queued requests per batch,
+//! answers repeats from its LRU shard, dedups identical requests, runs
+//! each remaining graph's own forward (`CoarsenModel::infer_probs`), and
+//! fans decode → placement → simulation over the deterministic worker
+//! pool (`spg_core::rollout`).
 //!
 //! Every stage is measured through the telemetry sink (including
 //! per-replica counters and queue-depth gauges), overload is surfaced

@@ -2,9 +2,8 @@
 //!
 //! A replica owns everything its shard needs — a model materialized at
 //! the configured precision from the (cloneable, `Send`) checkpoint, the
-//! reusable [`InferenceScratch`] arena, the [`BatchUnion`] topology
-//! cache, and an LRU shard — so replicas never share mutable state and
-//! never lock.
+//! reusable [`InferenceScratch`] arena, and an LRU shard — so replicas
+//! never share mutable state and never lock.
 //! The router consistent-hashes by content fingerprint, which means a
 //! repeat request always lands on the shard whose LRU already holds its
 //! placement.
@@ -18,9 +17,9 @@
 //!
 //! Determinism is inherited, not re-argued: every stage is the same
 //! pure-per-request pipeline the single-threaded batcher ran (greedy
-//! decode ignores the RNG, the placer seeds from content, batched
-//! forwards equal solo forwards), so the replica count cannot change a
-//! single placement bit.
+//! decode ignores the RNG, the placer seeds from content, each graph
+//! gets its own forward whatever batch it arrives in), so the replica
+//! count cannot change a single placement bit.
 
 use crate::error::ServeError;
 use crate::lru::LruCache;
@@ -31,8 +30,7 @@ use rand_chacha::ChaCha8Rng;
 use spg_core::checkpoint::Checkpoint;
 use spg_core::policy::{priority_by_prob, CoarseningPolicy, DecodeMode};
 use spg_core::{
-    rollout, BatchUnion, CoarsePlacer, CoarsenModel, InferenceScratch, MetisCoarsePlacer,
-    QuantizedModel,
+    rollout, CoarsePlacer, CoarsenModel, InferenceScratch, MetisCoarsePlacer, QuantizedModel,
 };
 use spg_graph::wire::AllocResponse;
 use spg_graph::{
@@ -107,17 +105,16 @@ enum ServedModel {
 }
 
 impl ServedModel {
-    /// Collapse probabilities for a batch, one cache key per item.
+    /// Collapse probabilities for one graph at the configured precision.
     fn predict(
         &self,
-        union: &mut BatchUnion,
+        graph: &StreamGraph,
+        feats: &GraphFeatures,
         scratch: &mut InferenceScratch,
-        keys: &[u64],
-        items: &[(&StreamGraph, &GraphFeatures)],
-    ) -> Vec<Vec<f32>> {
+    ) -> Vec<f32> {
         match self {
-            Self::F32(m) => m.predict_probs_batch_with(union, scratch, Some(keys), items),
-            Self::Int8(m) => m.predict_probs_batch_with(union, scratch, Some(keys), items),
+            Self::F32(m) => m.infer_probs(graph, feats, scratch),
+            Self::Int8(m) => m.infer_probs(graph, feats, scratch),
         }
     }
 }
@@ -244,7 +241,6 @@ fn replica_loop(
     };
     let placer = MetisCoarsePlacer::new(cfg.seed);
     let mut cache: LruCache<(Vec<u32>, f64)> = LruCache::new(cfg.cache_capacity);
-    let mut union = BatchUnion::new();
     let mut scratch = InferenceScratch::new();
     let timeout = Duration::from_millis(cfg.request_timeout_ms);
     let workers = cfg.workers.clamp(1, rollout::default_workers());
@@ -442,7 +438,6 @@ fn replica_loop(
                             &model,
                             &policy,
                             &placer,
-                            &mut union,
                             &mut scratch,
                             report,
                         );
@@ -453,8 +448,7 @@ fn replica_loop(
             let outcome = match outcome {
                 Ok(outcome) => outcome,
                 Err(_) => {
-                    // The batcher state may be mid-update; rebuild it.
-                    union = BatchUnion::new();
+                    // The scratch arena may be mid-update; rebuild it.
                     scratch = InferenceScratch::new();
                     report.panics_caught += 1;
                     sink.counter("serve.fault.panics_caught", 1);
@@ -507,16 +501,16 @@ fn replica_loop(
             }
         }
 
-        // ONE forward pass over the disjoint union of the unique
-        // graphs, then the decode → place → simulate fan-out. The whole
-        // batch computation is panic-isolated: an organic panic fails
-        // only this batch's requests with `internal`, the scratch state
-        // is rebuilt, and the incarnation lives on.
+        // One forward per unique graph, in batch order, then the decode →
+        // place → simulate fan-out. The whole batch computation is
+        // panic-isolated: an organic panic fails only this batch's
+        // requests with `internal`, the scratch state is rebuilt, and the
+        // incarnation lives on.
         let work = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let encode_start = Instant::now();
-            let (prepared, probs) = {
+            let prepared: Vec<(TupleRates, ClusterSpec, Vec<f32>)> = {
                 let _span = sink.span("serve.encode");
-                let prepared: Vec<(TupleRates, GraphFeatures, ClusterSpec)> = unique
+                unique
                     .iter()
                     .map(|&i| {
                         let job = &todo[i];
@@ -528,22 +522,10 @@ fn replica_loop(
                         };
                         let rates = TupleRates::compute(&job.graph, job.source_rate);
                         let feats = GraphFeatures::extract_with_rates(&job.graph, &cluster, &rates);
-                        (rates, feats, cluster)
+                        let probs = model.predict(&job.graph, &feats, &mut scratch);
+                        (rates, cluster, probs)
                     })
-                    .collect();
-                let probs = {
-                    let items: Vec<(&StreamGraph, &GraphFeatures)> = unique
-                        .iter()
-                        .zip(&prepared)
-                        .map(|(&i, (_, feats, _))| (&todo[i].graph, feats))
-                        .collect();
-                    // The request fingerprint keys the union cache: it covers
-                    // topology, devices, and rate — everything the features
-                    // are derived from.
-                    let keys: Vec<u64> = unique.iter().map(|&i| todo[i].fingerprint).collect();
-                    model.predict(&mut union, &mut scratch, &keys, &items)
-                };
-                (prepared, probs)
+                    .collect()
             };
             report.encode_ns += encode_start.elapsed().as_nanos() as u64;
 
@@ -551,12 +533,12 @@ fn replica_loop(
             let results: Vec<(Vec<u32>, f64)> = {
                 let _span = sink.span("serve.rollout");
                 let (todo, unique, policy, placer) = (&todo, &unique, &policy, &placer);
-                let (prepared, probs) = (&prepared, &probs);
+                let prepared = &prepared;
                 rollout::run_ordered(workers, unique.len(), move |u| {
                     let job = &todo[unique[u]];
-                    let (rates, _, cluster) = &prepared[u];
+                    let (rates, cluster, probs) = &prepared[u];
                     let (graph, key) = (&job.graph, job.fingerprint);
-                    place(policy, placer, graph, cluster, rates, &probs[u], key)
+                    place(policy, placer, graph, cluster, rates, probs, key)
                 })
             };
             report.rollout_ns += rollout_start.elapsed().as_nanos() as u64;
@@ -565,7 +547,6 @@ fn replica_loop(
         let results = match work {
             Ok(results) => results,
             Err(_) => {
-                union = BatchUnion::new();
                 scratch = InferenceScratch::new();
                 report.panics_caught += 1;
                 sink.counter("serve.fault.panics_caught", 1);
@@ -609,7 +590,6 @@ fn replica_loop(
     // its cache — the counts are diagnostic, not load-bearing.)
     report.cache_hits += cache.hits();
     report.cache_misses += cache.misses();
-    report.union_cache_hits += union.cache_hits();
     waker.wake();
 }
 
@@ -617,7 +597,7 @@ fn replica_loop(
 /// fallback. Keyed and RNG-seeded by the *mutated* graph's own request
 /// fingerprint — precision-tagged exactly like the router keys — so the
 /// result is bit-identical to what a plain alloc of that graph would
-/// return on the same server (and the union cache is shared with it).
+/// return on the same server.
 #[allow(clippy::too_many_arguments)]
 fn solo_alloc(
     graph: &StreamGraph,
@@ -628,7 +608,6 @@ fn solo_alloc(
     model: &ServedModel,
     policy: &CoarseningPolicy,
     placer: &MetisCoarsePlacer,
-    union: &mut BatchUnion,
     scratch: &mut InferenceScratch,
     report: &mut ServeReport,
 ) -> (Vec<u32>, f64) {
@@ -640,11 +619,11 @@ fn solo_alloc(
     let encode_start = Instant::now();
     let rates = TupleRates::compute(graph, source_rate);
     let feats = GraphFeatures::extract_with_rates(graph, &cluster, &rates);
-    let probs = model.predict(union, scratch, &[key], &[(graph, &feats)]);
+    let probs = model.predict(graph, &feats, scratch);
     report.encode_ns += encode_start.elapsed().as_nanos() as u64;
 
     let rollout_start = Instant::now();
-    let result = place(policy, placer, graph, &cluster, &rates, &probs[0], key);
+    let result = place(policy, placer, graph, &cluster, &rates, &probs, key);
     report.rollout_ns += rollout_start.elapsed().as_nanos() as u64;
     result
 }

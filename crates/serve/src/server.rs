@@ -105,8 +105,9 @@ pub struct ServeConfig {
     /// Shared-nothing replica workers, each with its own model copy,
     /// batcher, and LRU shard.
     pub replicas: usize,
-    /// Maximum requests folded into one encoder forward pass (per
-    /// replica).
+    /// Most queued requests a replica takes per batch. The batch is
+    /// deduped by fingerprint, each unique graph gets its own forward,
+    /// and the rollouts fan out over [`ServeConfig::workers`].
     pub max_batch: usize,
     /// Bound of each replica's request queue; a full queue answers
     /// `overloaded`.
@@ -213,7 +214,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Maximum requests per encoder forward pass.
+    /// Most queued requests a replica takes per batch (see
+    /// [`ServeConfig::max_batch`]).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.cfg.max_batch = max_batch;
         self
@@ -302,7 +304,7 @@ pub struct ServeReport {
     pub responses: u64,
     /// Requests answered with a named error.
     pub errors: u64,
-    /// Encoder batches executed.
+    /// Batches of queued requests taken by the replicas.
     pub batches: u64,
     /// Responses served from a shard LRU.
     pub cache_hits: u64,
@@ -312,9 +314,6 @@ pub struct ServeReport {
     pub encode_ns: u64,
     /// Wall time spent in decode → place → simulate (ns).
     pub rollout_ns: u64,
-    /// Batches whose disjoint-union topology was reused from the
-    /// fingerprint-keyed `BatchUnion` cache.
-    pub union_cache_hits: u64,
     /// Incremental `realloc` requests handled (any path).
     pub reallocs: u64,
     /// Reallocs answered by warm-started refinement (no model forward).
@@ -344,7 +343,6 @@ impl ServeReport {
         self.cache_misses += other.cache_misses;
         self.encode_ns += other.encode_ns;
         self.rollout_ns += other.rollout_ns;
-        self.union_cache_hits += other.union_cache_hits;
         self.reallocs += other.reallocs;
         self.warm_starts += other.warm_starts;
         self.panics_caught += other.panics_caught;

@@ -12,35 +12,12 @@ pub struct Csr {
     edge_ids: Vec<u32>,
 }
 
-impl Default for Csr {
-    /// An empty zero-node adjacency (valid: `offsets == [0]`).
-    fn default() -> Self {
-        Self::from_edges(0, std::iter::empty())
-    }
-}
-
 impl Csr {
     /// Build from an edge iterator of `(from, to)` pairs. The edge id stored
     /// alongside each neighbour is the index in the iteration order (so each
     /// node's bucket lists its edge ids in ascending order).
     pub fn from_edges(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
-        let mut csr = Self {
-            offsets: Vec::new(),
-            neighbors: Vec::new(),
-            edge_ids: Vec::new(),
-        };
-        csr.rebuild(n, edges);
-        csr
-    }
-
-    /// Rebuild in place from a new edge iterator, reusing the existing
-    /// allocations (the batched-inference hot path rebuilds a union CSR
-    /// per serve batch). Produces exactly the arrays [`Csr::from_edges`]
-    /// would.
-    pub fn rebuild(&mut self, n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) {
-        let offsets = &mut self.offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
+        let mut offsets = vec![0u32; n + 1];
         let mut m = 0usize;
         for (s, _) in edges.clone() {
             offsets[s as usize + 1] += 1;
@@ -49,24 +26,25 @@ impl Csr {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        self.neighbors.clear();
-        self.neighbors.resize(m, 0);
-        self.edge_ids.clear();
-        self.edge_ids.resize(m, 0);
+        let mut neighbors = vec![0u32; m];
+        let mut edge_ids = vec![0u32; m];
         // `offsets[s]` doubles as the insertion cursor for bucket `s`; after
         // the fill it holds each bucket's end, which a right-shift turns
         // back into the start offsets — no separate cursor allocation.
         for (eid, (s, d)) in edges.enumerate() {
             let slot = offsets[s as usize] as usize;
-            self.neighbors[slot] = d;
-            self.edge_ids[slot] = eid as u32;
+            neighbors[slot] = d;
+            edge_ids[slot] = eid as u32;
             offsets[s as usize] += 1;
         }
         for i in (1..=n).rev() {
             offsets[i] = offsets[i - 1];
         }
-        if n > 0 {
-            offsets[0] = 0;
+        offsets[0] = 0;
+        Self {
+            offsets,
+            neighbors,
+            edge_ids,
         }
     }
 
@@ -145,19 +123,5 @@ mod tests {
         assert_eq!(n1, vec![(0, 0), (2, 1)]);
         assert_eq!(csr.edge_id_slice(1), &[0, 1]);
         assert_eq!(csr.edge_id_slice(2), &[] as &[u32]);
-    }
-
-    #[test]
-    fn rebuild_matches_fresh_construction() {
-        let first = [(0u32, 1u32), (2, 0), (2, 1), (1, 0)];
-        let second = [(3u32, 0u32), (0, 3), (3, 1)];
-        let mut csr = Csr::from_edges(3, first.iter().copied());
-        csr.rebuild(5, second.iter().copied());
-        assert_eq!(csr, Csr::from_edges(5, second.iter().copied()));
-        // Shrinking back down (and to empty) also matches.
-        csr.rebuild(2, std::iter::empty());
-        assert_eq!(csr, Csr::from_edges(2, std::iter::empty()));
-        csr.rebuild(0, std::iter::empty());
-        assert_eq!(csr.num_nodes(), 0);
     }
 }

@@ -356,11 +356,9 @@ fn serve(args: ServeArgs) -> ExitCode {
                 report.cache_misses
             );
             println!(
-                "time split: encode {:.3} ms, rollout {:.3} ms \
-                 ({} union cache hits)",
+                "time split: encode {:.3} ms, rollout {:.3} ms",
                 report.encode_ns as f64 / 1e6,
-                report.rollout_ns as f64 / 1e6,
-                report.union_cache_hits
+                report.rollout_ns as f64 / 1e6
             );
             if report.per_replica.len() > 1 {
                 for (shard, r) in report.per_replica.iter().enumerate() {

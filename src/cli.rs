@@ -123,7 +123,7 @@ pub struct ServeArgs {
     /// Shared-nothing replica workers (model copy + batcher + LRU shard
     /// each).
     pub replicas: usize,
-    /// Maximum requests coalesced into one encoder forward pass.
+    /// Most queued requests a replica takes per batch.
     pub max_batch: usize,
     /// Bounded request-queue depth (`overloaded` beyond it).
     pub queue: usize,
@@ -344,7 +344,7 @@ pub fn command_help(cmd: &str) -> String {
              \n\
              Long-running allocation service: loads the checkpoint once, then\n\
              answers line-delimited JSON allocation requests over TCP with\n\
-             batched inference and a placement cache. Prints one\n\
+             batched request handling and a placement cache. Prints one\n\
              `listening on ADDR` line once ready; a `{{\"cmd\":\"shutdown\"}}`\n\
              request drains in-flight work and exits.\n\
              \n\
@@ -357,7 +357,9 @@ pub fn command_help(cmd: &str) -> String {
              \x20                 cluster + source-rate request defaults (default small)\n\
              \x20 --replicas N    shared-nothing replica workers, each with its own\n\
              \x20                 model copy, batcher and LRU shard (default 1)\n\
-             \x20 --max-batch N   max requests per encoder forward pass (default 8)\n\
+             \x20 --max-batch N   most queued requests a replica takes per batch; the\n\
+             \x20                 batch is deduped, each graph gets its own forward,\n\
+             \x20                 and rollouts fan out over --workers (default 8)\n\
              \x20 --queue N       bounded per-replica queue depth; `overloaded`\n\
              \x20                 beyond it (default 64)\n\
              \x20 --timeout-ms N  per-request timeout (default 5000)\n\

@@ -1,9 +1,9 @@
 //! Tape-free inference must be **bitwise** identical to the autodiff-tape
 //! forward — the optimisation contract of the serve path. Checked over a
 //! generated corpus spanning the paper settings, plus the degenerate pins
-//! (edgeless graph, single node, single edge), with one scratch arena and
-//! one union builder reused across the whole corpus the way the serve
-//! batcher reuses them. The tape-free forward computes each distinct
+//! (edgeless graph, single node, single edge), with one scratch arena
+//! reused across the whole corpus the way a serve replica reuses it. The
+//! tape-free forward computes each distinct
 //! message row once, so the last tests aim at that dedup: stars whose
 //! channels mostly repeat, both ablations, and feature rows that differ
 //! only in the sign of a zero.
@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg::gen::{DatasetSpec, Setting};
 use spg::graph::{Channel, ClusterSpec, GraphFeatures, Operator, StreamGraph, StreamGraphBuilder};
-use spg::model::{BatchUnion, CoarsenConfig, CoarsenModel, InferenceScratch};
+use spg::model::{CoarsenConfig, CoarsenModel, InferenceScratch};
 use spg::nn::{stable_sigmoid, Tape};
 
 /// Collapse probabilities via the training path: tape forward, then the
@@ -80,41 +80,6 @@ fn tape_free_forward_is_bitwise_identical_to_tape() {
     }
 }
 
-#[test]
-fn batched_union_with_key_cache_is_bitwise_identical() {
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let model = CoarsenModel::new(CoarsenConfig::default(), &mut rng);
-    let corpus = corpus();
-    let feats: Vec<GraphFeatures> = corpus
-        .iter()
-        .map(|(g, c, r)| GraphFeatures::extract(g, c, *r))
-        .collect();
-    let items: Vec<(&StreamGraph, &GraphFeatures)> =
-        corpus.iter().map(|(g, _, _)| g).zip(&feats).collect();
-    let keys: Vec<u64> = (0..items.len() as u64).collect();
-
-    let mut union = BatchUnion::new();
-    let mut scratch = InferenceScratch::new();
-    let first = model.predict_probs_batch_with(&mut union, &mut scratch, Some(&keys), &items);
-    // Identical keys on the next batch: the union rebuild is skipped...
-    let second = model.predict_probs_batch_with(&mut union, &mut scratch, Some(&keys), &items);
-    assert!(
-        union.cache_hits() > 0,
-        "identical batch must hit the key cache"
-    );
-    // ...and the results must still match the solo tape forward exactly.
-    for (i, ((graph, cluster, rate), probs)) in corpus.iter().zip(&second).enumerate() {
-        let feats = GraphFeatures::extract(graph, cluster, *rate);
-        let expected = tape_probs(&model, graph, &feats);
-        assert_eq!(
-            probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            expected.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            "graph {i}: cached-union batch diverged from tape"
-        );
-    }
-    assert_eq!(first, second, "key-cached batch changed results");
-}
-
 /// A star of `leaves` channels around one hub, fanning out from it or in
 /// to it. Every 97th channel carries another payload, so most channels
 /// of the hub repeat one feature row.
@@ -130,12 +95,10 @@ fn star(leaves: usize, fan_out: bool) -> StreamGraph {
     b.finish().unwrap()
 }
 
-/// Solo and union-batched tape-free probabilities of every item must
-/// equal the tape's bit for bit.
+/// Tape-free probabilities of every item must equal the tape's bit for
+/// bit.
 fn assert_matches_tape(model: &CoarsenModel, items: &[(&StreamGraph, &GraphFeatures)], what: &str) {
     let mut scratch = InferenceScratch::new();
-    let mut union = BatchUnion::new();
-    let batched = model.predict_probs_batch_with(&mut union, &mut scratch, None, items);
     let bits = |ps: &[f32]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
     for (i, &(graph, feats)) in items.iter().enumerate() {
         let want = bits(&tape_probs(model, graph, feats));
@@ -144,11 +107,6 @@ fn assert_matches_tape(model: &CoarsenModel, items: &[(&StreamGraph, &GraphFeatu
             bits(&solo),
             want,
             "{what}, item {i}: solo diverged from tape"
-        );
-        assert_eq!(
-            bits(&batched[i]),
-            want,
-            "{what}, item {i}: batch diverged from tape"
         );
     }
 }

@@ -235,44 +235,4 @@ fn probability_bits_of_both_precisions_are_pinned() {
         "int8 probability bits moved"
     );
     assert_eq!(f32_digest, 0xf41ba963eb60e3e7, "f32 probability bits moved");
-
-    let items: Vec<(&StreamGraph, &GraphFeatures)> =
-        corpus.iter().map(|(g, _, _)| g).zip(&feats).collect();
-    let batched = qmodel.predict_probs_batch_with(
-        &mut spg::model::BatchUnion::new(),
-        &mut scratch,
-        None,
-        &items,
-    );
-    let batched_digest = batched.iter().fold(FNV_OFFSET, |h, p| fnv1a_bits(h, p));
-    assert_eq!(
-        batched_digest, int8_digest,
-        "batched int8 bits differ from solo"
-    );
-}
-
-#[test]
-fn quantized_batch_matches_solo_quantized_inference() {
-    let model = model();
-    let qmodel = model.quantize();
-    let corpus = corpus();
-    let feats: Vec<GraphFeatures> = corpus
-        .iter()
-        .map(|(g, c, r)| GraphFeatures::extract(g, c, *r))
-        .collect();
-    let items: Vec<(&StreamGraph, &GraphFeatures)> =
-        corpus.iter().map(|(g, _, _)| g).zip(&feats).collect();
-    let keys: Vec<u64> = (0..items.len() as u64).collect();
-
-    let mut union = spg::model::BatchUnion::new();
-    let mut scratch = InferenceScratch::new();
-    let batched = qmodel.predict_probs_batch_with(&mut union, &mut scratch, Some(&keys), &items);
-    for (i, ((graph, _, _), probs)) in corpus.iter().zip(&batched).enumerate() {
-        let solo = qmodel.infer_probs(graph, &feats[i], &mut scratch);
-        assert_eq!(
-            probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            solo.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            "graph {i}: batched quantized inference diverged from solo"
-        );
-    }
 }
