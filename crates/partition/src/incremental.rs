@@ -54,9 +54,10 @@ impl Default for IncrementalConfig {
 /// Dense per-resource loads of a placement, mirroring the analytic
 /// simulator's model (`spg_sim::analytic`): per-device CPU demand and
 /// NIC egress/ingress, plus a `k×k` directional link-traffic matrix.
-/// Small enough (k ≤ tens) to clone per candidate move, which keeps the
-/// polish evaluator allocation-free and exact (no apply/revert float
-/// drift).
+/// One model per polish call is rebuilt in place each round, and
+/// candidate moves are applied and rewound through an undo journal, so
+/// the evaluator allocates nothing per round and stays exact (no
+/// apply/revert float drift).
 struct LoadModel {
     k: usize,
     cpu: Vec<f64>,
@@ -66,16 +67,30 @@ struct LoadModel {
 }
 
 impl LoadModel {
-    fn build(graph: &StreamGraph, rates: &TupleRates, part: &[u32], k: usize) -> Self {
-        let mut m = Self {
+    fn new(k: usize) -> Self {
+        Self {
             k,
             cpu: vec![0.0; k],
             egress: vec![0.0; k],
             ingress: vec![0.0; k],
             link: vec![0.0; k * k],
-        };
+        }
+    }
+
+    /// Recompute every load of `part` from zero, in node then edge
+    /// order, so the bits never depend on what the model held before.
+    fn rebuild(&mut self, graph: &StreamGraph, rates: &TupleRates, part: &[u32]) {
+        let k = self.k;
+        for cells in [
+            &mut self.cpu,
+            &mut self.egress,
+            &mut self.ingress,
+            &mut self.link,
+        ] {
+            cells.fill(0.0);
+        }
         for (v, op) in graph.ops().iter().enumerate() {
-            m.cpu[part[v] as usize] += rates.node[v] * op.ipt;
+            self.cpu[part[v] as usize] += rates.node[v] * op.ipt;
         }
         for (i, &(s, t)) in graph.edge_list().iter().enumerate() {
             let (ds, dt) = (part[s as usize] as usize, part[t as usize] as usize);
@@ -83,11 +98,10 @@ impl LoadModel {
                 continue;
             }
             let traffic = rates.edge[i] * graph.channel(spg_graph::EdgeId(i as u32)).payload;
-            m.egress[ds] += traffic;
-            m.ingress[dt] += traffic;
-            m.link[ds * k + dt] += traffic;
+            self.egress[ds] += traffic;
+            self.ingress[dt] += traffic;
+            self.link[ds * k + dt] += traffic;
         }
-        m
     }
 
     /// The sustained fraction `α = min(1, min_c capacity_c / load_c)`.
@@ -181,15 +195,31 @@ fn throughput_polish(
     max_moves: usize,
 ) -> usize {
     let k = cluster.devices;
+    let n = graph.num_nodes();
     let cpu_cap = cluster.instr_per_sec();
     let bw = cluster.link_bytes_per_sec();
-    // Incident edges of each node as (other endpoint, traffic, v-is-src).
-    let mut incident: Vec<Vec<(u32, f64, bool)>> = vec![Vec::new(); graph.num_nodes()];
+    // Incident edges of node v as (other endpoint, traffic, v-is-src) at
+    // `incident[inc_off[v]..inc_off[v + 1]]`, in ascending edge order:
+    // the order candidate moves route traffic in, which fixes the bits
+    // of every load they sum.
+    let mut inc_off = vec![0u32; n + 1];
+    for &(s, t) in graph.edge_list() {
+        inc_off[s as usize + 1] += 1;
+        inc_off[t as usize + 1] += 1;
+    }
+    for v in 0..n {
+        inc_off[v + 1] += inc_off[v];
+    }
+    let mut cursor = inc_off[..n].to_vec();
+    let mut incident = vec![(0u32, 0.0f64, false); inc_off[n] as usize];
     for (i, &(s, t)) in graph.edge_list().iter().enumerate() {
         let traffic = rates.edge[i] * graph.channel(spg_graph::EdgeId(i as u32)).payload;
-        incident[s as usize].push((t, traffic, true));
-        incident[t as usize].push((s, traffic, false));
+        incident[cursor[s as usize] as usize] = (t, traffic, true);
+        cursor[s as usize] += 1;
+        incident[cursor[t as usize] as usize] = (s, traffic, false);
+        cursor[t as usize] += 1;
     }
+    let incident_of = |v: usize| &incident[inc_off[v] as usize..inc_off[v + 1] as usize];
 
     // Hard bound on total candidate evaluations across all rounds: the
     // latency backstop for priors so unbalanced that a binding device
@@ -197,9 +227,21 @@ fn throughput_polish(
     // runs out at the same candidate for the same input.
     let mut evals: usize = 6_000;
 
+    // Per-round state, allocated once per call. `touched` stamps the
+    // cells a candidate changed with that candidate's generation, which
+    // only grows, so no round needs to clear it.
+    let cell_count = 3 * k + k * k;
+    let mut model = LoadModel::new(k);
+    let mut marked = vec![false; k];
+    let mut order: Vec<(f64, u32)> = Vec::with_capacity(cell_count);
+    let mut undo: Vec<(Slot, f64)> = Vec::with_capacity(32);
+    let mut touched: Vec<u32> = vec![0; cell_count];
+    let mut generation: u32 = 0;
+    let mut targets: Vec<usize> = Vec::with_capacity(8);
+
     let mut moves = 0;
     while moves < max_moves && evals > 0 {
-        let model = LoadModel::build(graph, rates, part, k);
+        model.rebuild(graph, rates, part);
         let alpha = model.alpha(cpu_cap, bw);
         if alpha >= 1.0 {
             break;
@@ -207,14 +249,10 @@ fn throughput_polish(
         // A ratio is binding when capacity/load matches the sustained
         // fraction; the tolerance absorbs division round-off.
         let binding = |cap: f64, load: f64| load > 0.0 && cap / load <= alpha * (1.0 + 1e-9);
-        let mut marked = vec![false; k];
         for (d, m) in marked.iter_mut().enumerate() {
-            if binding(cpu_cap, model.cpu[d])
+            *m = binding(cpu_cap, model.cpu[d])
                 || binding(bw, model.egress[d])
-                || binding(bw, model.ingress[d])
-            {
-                *m = true;
-            }
+                || binding(bw, model.ingress[d]);
         }
         for s in 0..k {
             for t in 0..k {
@@ -232,8 +270,7 @@ fn throughput_polish(
         // O(k²)-cell scan per candidate and is bit-exact: the same
         // `cap/load` divisions feed the same `min`, just without the
         // entries that provably cannot be it.
-        let cell_count = 3 * k + k * k;
-        let mut order: Vec<(f64, u32)> = Vec::with_capacity(cell_count);
+        order.clear();
         for d in 0..k {
             if model.cpu[d] > 0.0 {
                 order.push((cpu_cap / model.cpu[d], d as u32));
@@ -271,11 +308,7 @@ fn throughput_polish(
         // Candidate moves are applied to the one shared model and then
         // rewound from the undo journal, so the inner loop is
         // allocation-free and every evaluation sees exact loads.
-        let mut cand = model;
-        let mut undo: Vec<(Slot, f64)> = Vec::with_capacity(32);
-        let mut touched: Vec<u32> = vec![0; cell_count];
-        let mut generation: u32 = 0;
-        let mut targets: Vec<usize> = Vec::with_capacity(8);
+        let cand = &mut model;
         'nodes: for v in 0..part.len() {
             let from = part[v] as usize;
             if !marked[from] {
@@ -284,7 +317,7 @@ fn throughput_polish(
             // Ascending order keeps the lowest-device tie preference of
             // the former exhaustive scan.
             targets.clear();
-            for &(u, _, _) in &incident[v] {
+            for &(u, _, _) in incident_of(v) {
                 targets.push(part[u as usize] as usize);
             }
             targets.push(dmin_cpu);
@@ -304,7 +337,7 @@ fn throughput_polish(
                 cand.cpu[from] -= w;
                 undo.push((Slot::Cpu(to), cand.cpu[to]));
                 cand.cpu[to] += w;
-                for &(u, traffic, v_is_src) in &incident[v] {
+                for &(u, traffic, v_is_src) in incident_of(v) {
                     let du = part[u as usize] as usize;
                     if v_is_src {
                         cand.route(from, du, traffic, -1.0, &mut undo);
@@ -348,6 +381,79 @@ fn throughput_polish(
         moves += 1;
     }
     moves
+}
+
+/// Project `prior_placement` onto the post-delta graph `wg` through the
+/// delta's provenance table `origin`: survivors keep their device if it
+/// is below `k`, and new and evicted nodes are seeded next to their
+/// heaviest placed neighbour (falling back to the lightest part).
+fn project(
+    wg: &WeightedGraph,
+    origin: &[Option<u32>],
+    prior_placement: &[u32],
+    k: usize,
+) -> Vec<u32> {
+    const UNPLACED: u32 = u32::MAX;
+    let mut part: Vec<u32> = origin
+        .iter()
+        .map(|o| match o {
+            Some(prev) => {
+                let d = prior_placement[*prev as usize];
+                if (d as usize) < k {
+                    d
+                } else {
+                    UNPLACED
+                }
+            }
+            None => UNPLACED,
+        })
+        .collect();
+    let mut part_weight = vec![0.0; k];
+    for (v, &p) in part.iter().enumerate() {
+        if p != UNPLACED {
+            part_weight[p as usize] += wg.node_weight[v];
+        }
+    }
+    // Connectivity of one unplaced node to each part, reused across nodes.
+    let mut conn: Vec<(u32, f64)> = Vec::new();
+    for v in 0..part.len() {
+        if part[v] != UNPLACED {
+            continue;
+        }
+        conn.clear();
+        for &(u, e) in wg.neighbors(v as u32) {
+            let p = part[u as usize];
+            if p == UNPLACED {
+                continue;
+            }
+            let w = wg.edge_weight[e as usize];
+            match conn.iter_mut().find(|(pp, _)| *pp == p) {
+                Some((_, cw)) => *cw += w,
+                None => conn.push((p, w)),
+            }
+        }
+        // Ties break toward the lowest part id, keeping the choice
+        // independent of neighbor iteration order.
+        let by_weight = conn
+            .iter()
+            .copied()
+            .max_by(|(pa, wa), (pb, wb)| wa.partial_cmp(wb).unwrap().then(pb.cmp(pa)));
+        let p = match by_weight {
+            Some((p, _)) => p,
+            None => {
+                let lightest = part_weight
+                    .iter()
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
+                    .map(|(i, _)| i as u32)
+                    .unwrap_or(0);
+                lightest
+            }
+        };
+        part[v] = p;
+        part_weight[p as usize] += wg.node_weight[v];
+    }
+    part
 }
 
 /// What [`realloc_decide`] concluded.
@@ -437,69 +543,7 @@ pub fn realloc_decide(
     let rates = TupleRates::compute(&applied.graph, source_rate);
     let wg = WeightedGraph::from_stream_with_rates(&applied.graph, &rates);
     let k = devices;
-
-    // Project: survivors keep their device (if it still exists), new
-    // and evicted nodes are seeded next to their heaviest placed
-    // neighbour (falling back to the lightest part).
-    const UNPLACED: u32 = u32::MAX;
-    let mut part: Vec<u32> = applied
-        .origin
-        .iter()
-        .map(|o| match o {
-            Some(prev) => {
-                let d = prior_placement[*prev as usize];
-                if (d as usize) < devices {
-                    d
-                } else {
-                    UNPLACED
-                }
-            }
-            None => UNPLACED,
-        })
-        .collect();
-    let mut part_weight = vec![0.0; k];
-    for (v, &p) in part.iter().enumerate() {
-        if p != UNPLACED {
-            part_weight[p as usize] += wg.node_weight[v];
-        }
-    }
-    for v in 0..part.len() {
-        if part[v] != UNPLACED {
-            continue;
-        }
-        let mut conn: Vec<(u32, f64)> = Vec::new();
-        for &(u, e) in wg.neighbors(v as u32) {
-            let p = part[u as usize];
-            if p == UNPLACED {
-                continue;
-            }
-            let w = wg.edge_weight[e as usize];
-            match conn.iter_mut().find(|(pp, _)| *pp == p) {
-                Some((_, cw)) => *cw += w,
-                None => conn.push((p, w)),
-            }
-        }
-        // Ties break toward the lowest part id, keeping the choice
-        // independent of neighbor iteration order.
-        let by_weight = conn
-            .iter()
-            .copied()
-            .max_by(|(pa, wa), (pb, wb)| wa.partial_cmp(wb).unwrap().then(pb.cmp(pa)));
-        let p = match by_weight {
-            Some((p, _)) => p,
-            None => {
-                let lightest = part_weight
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-                    .map(|(i, _)| i as u32)
-                    .unwrap_or(0);
-                lightest
-            }
-        };
-        part[v] = p;
-        part_weight[p as usize] += wg.node_weight[v];
-    }
+    let mut part = project(&wg, &applied.origin, prior_placement, k);
 
     // Score three candidates by the actual throughput reward and keep
     // the best: the raw projection (the prior placement may violate the
@@ -726,6 +770,79 @@ mod tests {
         assert_eq!(g.num_nodes(), graph.num_nodes() + extra as usize);
         assert_eq!(devices, cluster.devices);
         assert_eq!(source_rate, rate * 2.0);
+    }
+
+    /// Over 64 seeded drifts of every kind on scaled medium graphs with
+    /// `kway_partition` priors: the polish never lowers the analytic
+    /// reward of the placement it starts from, and the decision's reward
+    /// is never below the projected candidate's.
+    #[test]
+    fn polish_and_decision_never_lower_the_reward() {
+        use rand::SeedableRng;
+        use spg_gen::{drift_delta, DriftKind};
+
+        let spec = DatasetSpec::scaled_down(Setting::Medium);
+        let cfg = IncrementalConfig::default();
+        let mut cases = 0;
+        for seed in 0..64u64 {
+            let graph = generate_graph(&spec, seed);
+            let wg = WeightedGraph::from_stream(&graph, spec.source_rate);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let cfg_p = crate::PartitionConfig::default();
+            let prior = crate::kway_partition(&wg, spec.devices, &cfg_p, &mut rng);
+            for kind in DriftKind::ALL {
+                let delta = drift_delta(&graph, kind, spec.devices, spec.source_rate, seed);
+                let applied = delta.apply(&graph).unwrap();
+                let cluster = ClusterSpec {
+                    devices: delta.devices.unwrap_or(spec.devices),
+                    ..spec.cluster()
+                };
+                let rate = delta.source_rate.unwrap_or(spec.source_rate);
+                let rates = TupleRates::compute(&applied.graph, rate);
+                let reward = |part: &[u32]| {
+                    let placement = Placement::new(part.to_vec());
+                    relative_throughput_with_rates(&applied.graph, &cluster, &placement, &rates)
+                };
+                let wg = WeightedGraph::from_stream_with_rates(&applied.graph, &rates);
+                let projected = project(&wg, &applied.origin, &prior, cluster.devices);
+                let projected_rel = reward(&projected);
+
+                let mut polished = projected.clone();
+                throughput_polish(
+                    &applied.graph,
+                    &cluster,
+                    &rates,
+                    &mut polished,
+                    cfg.polish_moves,
+                );
+                let polished_rel = reward(&polished);
+                assert!(
+                    polished_rel >= projected_rel,
+                    "seed {seed}, {}: polish lowered {projected_rel} to {polished_rel}",
+                    kind.slug()
+                );
+
+                let decision = realloc_decide(
+                    &graph,
+                    &prior,
+                    &delta,
+                    &spec.cluster(),
+                    spec.source_rate,
+                    &cfg,
+                )
+                .unwrap();
+                let ReallocDecision::Warm { relative, .. } = decision else {
+                    panic!("seed {seed}, {}: drift must warm-start", kind.slug());
+                };
+                assert!(
+                    relative >= projected_rel,
+                    "seed {seed}, {}: decision {relative} below projection {projected_rel}",
+                    kind.slug()
+                );
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 192);
     }
 
     #[test]

@@ -284,12 +284,14 @@ pub fn kway_refine(
     let n = g.num_nodes();
     let mut part_weight = g.part_weights(part, k);
     let mut total_moves = 0usize;
+    // Connectivity of one node to each part among its neighbours, in
+    // first-seen order; one buffer serves every node.
+    let mut conn: Vec<(u32, f64)> = Vec::new();
 
     for _ in 0..max_passes {
         let mut moved = 0usize;
         for v in 0..n as u32 {
-            // Connectivity of v to each part among its neighbours.
-            let mut conn: Vec<(u32, f64)> = Vec::new();
+            conn.clear();
             for &(u, e) in g.neighbors(v) {
                 let p = part[u as usize];
                 let w = g.edge_weight[e as usize];
@@ -341,6 +343,8 @@ pub fn rebalance(g: &WeightedGraph, part: &mut [u32], k: usize, max_part_weight:
     let n = g.num_nodes();
     let mut part_weight = g.part_weights(part, k);
     let mut moves = 0usize;
+    // Connectivity of one candidate to each part, reused per candidate.
+    let mut conn = vec![0.0f64; k];
     // Bounded: each node moves at most a few times.
     for _round in 0..4 * n {
         // Heaviest overweight part.
@@ -360,8 +364,7 @@ pub fn rebalance(g: &WeightedGraph, part: &mut [u32], k: usize, max_part_weight:
                 continue;
             }
             let wv = g.node_weight[v as usize];
-            // Connectivity to each part.
-            let mut conn = vec![0.0f64; k];
+            conn.fill(0.0);
             for &(u, e) in g.neighbors(v) {
                 conn[part[u as usize] as usize] += g.edge_weight[e as usize];
             }
@@ -395,6 +398,8 @@ pub fn rebalance_targets(g: &WeightedGraph, part: &mut [u32], caps: &[f64]) -> u
     let k = caps.len();
     let mut part_weight = g.part_weights(part, k);
     let mut moves = 0usize;
+    // Connectivity of one candidate to each part, reused per candidate.
+    let mut conn = vec![0.0f64; k];
     for _round in 0..4 * n {
         let Some((from, _)) = part_weight
             .iter()
@@ -410,7 +415,7 @@ pub fn rebalance_targets(g: &WeightedGraph, part: &mut [u32], caps: &[f64]) -> u
                 continue;
             }
             let wv = g.node_weight[v as usize];
-            let mut conn = vec![0.0f64; k];
+            conn.fill(0.0);
             for &(u, e) in g.neighbors(v) {
                 conn[part[u as usize] as usize] += g.edge_weight[e as usize];
             }

@@ -11,9 +11,13 @@
 //! `α = min(1, min_c capacity_c / load_c)` and the throughput is `α · I`.
 //! A stream system under backpressure stabilises at exactly this rate — the
 //! discrete-time simulator in [`crate::des`] confirms it empirically.
+//!
+//! Link loads are summed into a dense row-major `devices × devices`
+//! matrix, one cell per directed device pair, in edge order. The
+//! bottleneck scan reads resources in a fixed order, so a tie never
+//! depends on hashing (see [`SimResult::bottleneck`]).
 
 use spg_graph::{ClusterSpec, Placement, StreamGraph, TupleRates};
-use std::collections::HashMap;
 
 /// What limited the throughput of a placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +41,14 @@ pub struct SimResult {
     pub throughput: f64,
     /// `throughput / source_rate ∈ [0, 1]` — the paper's reward.
     pub relative: f64,
-    /// Which resource saturated.
+    /// Which resource saturated. Resources are scanned in a fixed order —
+    /// device CPUs, NIC egress, NIC ingress, then links — each by
+    /// ascending device id, links by ascending `(src, dst)`, and only a
+    /// strictly lower ratio replaces the current one. So a tie goes to
+    /// the first resource in that order: among tied links, the lowest
+    /// `(src, dst)`. A link's traffic is part of its source's egress and
+    /// shares its bandwidth, so that egress, scanned earlier, is always
+    /// at least as tight as the link.
     pub bottleneck: Bottleneck,
     /// CPU demand offered to each device at full source rate (instr/s).
     pub cpu_load: Vec<f64>,
@@ -45,8 +56,10 @@ pub struct SimResult {
     pub egress: Vec<f64>,
     /// Ingress bytes/s offered to each device at full source rate.
     pub ingress: Vec<f64>,
-    /// Directional inter-device traffic at full source rate.
-    pub link_traffic: HashMap<(u32, u32), f64>,
+    /// Directional inter-device traffic at full source rate (bytes/s),
+    /// row-major `devices × devices`: entry `src * devices + dst` is the
+    /// traffic from `src` to `dst`, zero for pairs no edge crosses.
+    pub link_traffic: Vec<f64>,
 }
 
 impl SimResult {
@@ -132,16 +145,19 @@ pub fn simulate_with_rates(
 
     let mut egress = vec![0.0f64; d];
     let mut ingress = vec![0.0f64; d];
-    let mut link_traffic: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut link_traffic = vec![0.0f64; d * d];
     for (i, &(s, t)) in graph.edge_list().iter().enumerate() {
-        let (ds, dt) = (placement.device(s as usize), placement.device(t as usize));
+        let (ds, dt) = (
+            placement.device(s as usize) as usize,
+            placement.device(t as usize) as usize,
+        );
         if ds == dt {
             continue;
         }
         let traffic = rates.edge[i] * graph.channel(spg_graph::EdgeId(i as u32)).payload;
-        egress[ds as usize] += traffic;
-        ingress[dt as usize] += traffic;
-        *link_traffic.entry((ds, dt)).or_insert(0.0) += traffic;
+        egress[ds] += traffic;
+        ingress[dt] += traffic;
+        link_traffic[ds * d + dt] += traffic;
     }
 
     let cpu_cap = cluster.instr_per_sec();
@@ -176,12 +192,12 @@ pub fn simulate_with_rates(
             }
         }
     }
-    for (&(s, t), &load) in &link_traffic {
+    for (cell, &load) in link_traffic.iter().enumerate() {
         if load > 0.0 {
             let a = bw / load;
             if a < alpha {
                 alpha = a;
-                bottleneck = Bottleneck::Link(s, t);
+                bottleneck = Bottleneck::Link((cell / d) as u32, (cell % d) as u32);
             }
         }
     }
@@ -265,6 +281,40 @@ mod tests {
         // Each flow: 8e7 B/s; NIC egress 1.6e8 > 1.25e8 = BW, links fine.
         assert_eq!(r.bottleneck, Bottleneck::NicEgress(0));
         assert!((r.relative - 125e6 / 160e6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tied_links_resolve_in_scan_order() {
+        // Two equal flows, listed so the higher device pair comes first:
+        // n0 -> n1 crosses 2 -> 1 and n2 -> n3 crosses 0 -> 3. Each link
+        // ties with its source's egress and its destination's ingress.
+        let mut b = StreamGraphBuilder::new();
+        let n: Vec<_> = (0..4).map(|_| b.add_node(Operator::new(1.0))).collect();
+        b.add_edge(n[0], n[1], Channel::new(1e5)).unwrap();
+        b.add_edge(n[2], n[3], Channel::new(1e5)).unwrap();
+        let g = b.finish().unwrap();
+        let cluster = ClusterSpec::paper_medium(4);
+        let r = simulate(&g, &cluster, &Placement::new(vec![2, 1, 0, 3]), 1e4);
+        let d = cluster.devices;
+        assert_eq!(r.link_traffic.len(), d * d);
+        let links: Vec<usize> = (0..d * d).filter(|&c| r.link_traffic[c] > 0.0).collect();
+        assert_eq!(links, vec![3, 2 * d + 1], "cells 0 -> 3 and 2 -> 1");
+        assert_eq!(
+            r.link_traffic[3].to_bits(),
+            r.link_traffic[2 * d + 1].to_bits()
+        );
+        assert!((r.relative - 125e6 / 1e9).abs() < 1e-12);
+        // Egress is scanned before links, and device 0 before device 2.
+        assert_eq!(r.bottleneck, Bottleneck::NicEgress(0));
+        // Listing the flows the other way round names the same resource.
+        let mut b = StreamGraphBuilder::new();
+        let n: Vec<_> = (0..4).map(|_| b.add_node(Operator::new(1.0))).collect();
+        b.add_edge(n[2], n[3], Channel::new(1e5)).unwrap();
+        b.add_edge(n[0], n[1], Channel::new(1e5)).unwrap();
+        let g = b.finish().unwrap();
+        let again = simulate(&g, &cluster, &Placement::new(vec![2, 1, 0, 3]), 1e4);
+        assert_eq!(again.bottleneck, r.bottleneck);
+        assert_eq!(again.link_traffic, r.link_traffic);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Analytic throughput on heterogeneous clusters (the paper's future-work
 //! extension): same bottleneck model as [`crate::analytic`], with
-//! per-device CPU capacities.
+//! per-device CPU capacities, the same dense link matrix and the same
+//! tie rule.
 
 use crate::analytic::Bottleneck;
 use spg_graph::hetero::HeteroClusterSpec;
 use spg_graph::{Placement, StreamGraph, TupleRates};
-use std::collections::HashMap;
 
 /// Result of a heterogeneous simulation.
 #[derive(Debug, Clone)]
@@ -14,7 +14,8 @@ pub struct HeteroSimResult {
     pub throughput: f64,
     /// `throughput / source_rate ∈ [0, 1]`.
     pub relative: f64,
-    /// Which resource saturated.
+    /// Which resource saturated; ties resolve as in
+    /// [`crate::analytic::SimResult::bottleneck`].
     pub bottleneck: Bottleneck,
     /// Per-device CPU demand at full rate (instr/s).
     pub cpu_load: Vec<f64>,
@@ -40,16 +41,19 @@ pub fn simulate_hetero(
 
     let mut egress = vec![0.0f64; d];
     let mut ingress = vec![0.0f64; d];
-    let mut link_traffic: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut link_traffic = vec![0.0f64; d * d];
     for (i, &(s, t)) in graph.edge_list().iter().enumerate() {
-        let (ds, dt) = (placement.device(s as usize), placement.device(t as usize));
+        let (ds, dt) = (
+            placement.device(s as usize) as usize,
+            placement.device(t as usize) as usize,
+        );
         if ds == dt {
             continue;
         }
         let traffic = rates.edge[i] * graph.channels()[i].payload;
-        egress[ds as usize] += traffic;
-        ingress[dt as usize] += traffic;
-        *link_traffic.entry((ds, dt)).or_insert(0.0) += traffic;
+        egress[ds] += traffic;
+        ingress[dt] += traffic;
+        link_traffic[ds * d + dt] += traffic;
     }
 
     let bw = cluster.link_bytes_per_sec();
@@ -82,12 +86,12 @@ pub fn simulate_hetero(
             }
         }
     }
-    for (&(s, t), &load) in &link_traffic {
+    for (cell, &load) in link_traffic.iter().enumerate() {
         if load > 0.0 {
             let a = bw / load;
             if a < alpha {
                 alpha = a;
-                bottleneck = Bottleneck::Link(s, t);
+                bottleneck = Bottleneck::Link((cell / d) as u32, (cell % d) as u32);
             }
         }
     }

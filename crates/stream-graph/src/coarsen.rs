@@ -166,7 +166,7 @@ impl Coarsening {
                 inter.push(((gs, gd), traffic[i]));
             }
         }
-        let (edges, edge_traffic) = merge_edges(inter);
+        let (edges, edge_traffic) = merge_edges(k, inter);
 
         Self {
             node_map,

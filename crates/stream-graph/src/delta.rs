@@ -99,14 +99,7 @@ impl GraphDelta {
     /// True when applying this delta is the identity (placement and
     /// throughput of the prior response remain exact).
     pub fn is_empty(&self) -> bool {
-        self.remove_nodes.is_empty()
-            && self.add_nodes.is_empty()
-            && self.remove_edges.is_empty()
-            && self.add_edges.is_empty()
-            && self.set_ipt.is_empty()
-            && self.set_channel_edges.is_empty()
-            && self.devices.is_none()
-            && self.source_rate.is_none()
+        self.keeps_graph() && self.devices.is_none() && self.source_rate.is_none()
     }
 
     /// Topological churn: mutated nodes + edges over the prior graph's
@@ -153,12 +146,32 @@ impl GraphDelta {
         Ok(())
     }
 
+    /// True when the delta removes, adds and overrides nothing — a rate
+    /// ramp or a device-count change — so the mutated graph is the prior.
+    fn keeps_graph(&self) -> bool {
+        self.remove_nodes.is_empty()
+            && self.add_nodes.is_empty()
+            && self.remove_edges.is_empty()
+            && self.add_edges.is_empty()
+            && self.set_ipt.is_empty()
+            && self.set_channel_edges.is_empty()
+    }
+
     /// Apply to `prior`, producing the mutated graph (built once through
     /// the validating constructor, then given the numeric checks dataset
-    /// and wire graphs get) and the provenance table.
+    /// and wire graphs get) and the provenance table. A delta that keeps
+    /// the graph gets the same checks and a clone of `prior`, which is
+    /// what the rebuild would produce.
     pub fn apply(&self, prior: &StreamGraph) -> Result<AppliedDelta, DeltaError> {
         self.validate_shape()?;
         let n = prior.num_nodes();
+        if self.keeps_graph() {
+            validate_numbers(prior).map_err(|e| DeltaError::InvalidResult(e.to_string()))?;
+            return Ok(AppliedDelta {
+                graph: prior.clone(),
+                origin: (0..n as u32).map(Some).collect(),
+            });
+        }
         let bad = |msg: String| DeltaError::BadDelta(msg);
 
         let mut removed = vec![false; n];
@@ -184,8 +197,8 @@ impl GraphDelta {
 
         // Old id (extended with virtual ids for added nodes) → new id.
         let mut remap: Vec<Option<u32>> = Vec::with_capacity(n + self.add_nodes.len());
-        let mut origin: Vec<Option<u32>> = Vec::new();
-        let mut new_ops: Vec<Operator> = Vec::new();
+        let mut origin: Vec<Option<u32>> = Vec::with_capacity(n + self.add_nodes.len());
+        let mut new_ops: Vec<Operator> = Vec::with_capacity(n + self.add_nodes.len());
         for (v, &gone) in removed.iter().enumerate() {
             if gone {
                 remap.push(None);

@@ -260,18 +260,10 @@ impl StreamGraph {
                 return Err(GraphError::SelfLoop { node: s });
             }
         }
-        // Duplicate-edge check via sort of a copy.
-        let mut sorted = edges.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(GraphError::DuplicateEdge {
-                    src: w[0].0,
-                    dst: w[0].1,
-                });
-            }
-        }
         let out_adj = Csr::from_edges(n, edges.iter().map(|&(s, d)| (s, d)));
+        if let Some((src, dst)) = smallest_duplicate(&out_adj) {
+            return Err(GraphError::DuplicateEdge { src, dst });
+        }
         let in_adj = Csr::from_edges(n, edges.iter().map(|&(s, d)| (d, s)));
         let topo_order = topo::topological_order(n, &edges).ok_or(GraphError::Cycle)?;
         Ok(Self {
@@ -422,6 +414,27 @@ impl StreamGraph {
     pub fn channels_mut(&mut self) -> &mut [Channel] {
         &mut self.channels
     }
+}
+
+/// The smallest `(src, dst)` pair listed more than once, in one pass over
+/// the out-CSR buckets in ascending source order: `last_src[d]` stamps
+/// the last bucket that named `d`, so a repeat within a bucket is a
+/// duplicate, and the first bucket holding one holds the smallest.
+fn smallest_duplicate(out: &Csr) -> Option<(u32, u32)> {
+    let mut last_src = vec![u32::MAX; out.num_nodes()];
+    for src in 0..out.num_nodes() as u32 {
+        let mut dup: Option<u32> = None;
+        for &dst in out.neighbor_slice(src) {
+            if last_src[dst as usize] == src {
+                dup = Some(dup.map_or(dst, |d| d.min(dst)));
+            }
+            last_src[dst as usize] = src;
+        }
+        if let Some(dst) = dup {
+            return Some((src, dst));
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ impl WeightedGraph {
     ) -> Self {
         let n = node_weight.len();
         let (edges, edge_weight) = merge_edges(
+            n,
             raw_edges
                 .into_iter()
                 .filter(|&(a, b, _)| a != b)
@@ -150,12 +151,19 @@ impl WeightedGraph {
     }
 }
 
-/// Merge `(key, weight)` pairs into unique keys in ascending order. Each
-/// key's weight is summed from `0.0` in input order (the stable sort keeps
-/// equal keys in input order), as one accumulator per key would, so a
-/// lone `-0.0` becomes `+0.0`.
-pub(crate) fn merge_edges(mut pairs: Vec<((u32, u32), f64)>) -> (Vec<(u32, u32)>, Vec<f64>) {
-    pairs.sort_by_key(|&(key, _)| key);
+/// Merge `(key, weight)` pairs, every endpoint below `n`, into unique keys
+/// in ascending order. Two stable bucket passes, by second endpoint and
+/// then by first, order the pairs in O(pairs + n) and keep equal keys in
+/// input order, so each key's weight is summed from `0.0` in input order,
+/// as one accumulator per key would, and a lone `-0.0` becomes `+0.0`.
+pub(crate) fn merge_edges(
+    n: usize,
+    mut pairs: Vec<((u32, u32), f64)>,
+) -> (Vec<(u32, u32)>, Vec<f64>) {
+    let mut start = vec![0usize; n + 1];
+    let mut by_second = vec![((0, 0), 0.0); pairs.len()];
+    bucket_by(&mut start, &pairs, &mut by_second, |((_, b), _)| b);
+    bucket_by(&mut start, &by_second, &mut pairs, |((a, _), _)| a);
     let mut keys: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
     let mut weights: Vec<f64> = Vec::with_capacity(pairs.len());
     for (key, w) in pairs {
@@ -166,6 +174,29 @@ pub(crate) fn merge_edges(mut pairs: Vec<((u32, u32), f64)>) -> (Vec<(u32, u32)>
         *weights.last_mut().expect("pushed with its key") += w;
     }
     (keys, weights)
+}
+
+/// Stable counting sort of `src` into `dst` by `bucket`, whose values lie
+/// below `start.len() - 1`; `start` is scratch.
+fn bucket_by(
+    start: &mut [usize],
+    src: &[((u32, u32), f64)],
+    dst: &mut [((u32, u32), f64)],
+    bucket: impl Fn(((u32, u32), f64)) -> u32,
+) {
+    start.fill(0);
+    for &p in src {
+        start[bucket(p) as usize + 1] += 1;
+    }
+    for b in 1..start.len() {
+        start[b] += start[b - 1];
+    }
+    // `start[b]` is bucket b's insertion cursor.
+    for &p in src {
+        let slot = &mut start[bucket(p) as usize];
+        dst[*slot] = p;
+        *slot += 1;
+    }
 }
 
 #[cfg(test)]
