@@ -2,6 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most devices a wire request or a graph delta may name. The analytic
+/// simulator and the warm-start polish each keep a dense
+/// `devices × devices` link matrix, so one request's memory grows with
+/// the square of its device count; at this bound one matrix is 8 MiB.
+/// The paper's clusters have 5 to 20 devices.
+pub const MAX_DEVICES: usize = 1024;
+
 /// A homogeneous cluster of computing devices, mirroring the paper's
 /// experimental environment (§V): devices with a fixed MIPS capacity
 /// connected by links of fixed bandwidth.

@@ -22,6 +22,7 @@
 //! case for operator removal); `remove_edges` is for rewiring between
 //! surviving nodes and must name edges that exist.
 
+use crate::cluster::MAX_DEVICES;
 use crate::graph::{Channel, GraphError, Operator, StreamGraph};
 use crate::serialize::validate_numbers;
 use serde::{Serialize, Value};
@@ -135,6 +136,11 @@ impl GraphDelta {
             return Err(DeltaError::BadDelta(
                 "devices must be at least 1".to_string(),
             ));
+        }
+        if let Some(d) = self.devices.filter(|&d| d > MAX_DEVICES) {
+            return Err(DeltaError::BadDelta(format!(
+                "devices must be at most {MAX_DEVICES}, got {d}"
+            )));
         }
         if let Some(sr) = self.source_rate {
             if !(sr.is_finite() && sr > 0.0) {

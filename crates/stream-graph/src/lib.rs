@@ -36,7 +36,7 @@ pub mod weighted;
 pub mod wire;
 mod wire_fast;
 
-pub use cluster::ClusterSpec;
+pub use cluster::{ClusterSpec, MAX_DEVICES};
 pub use coarsen::{CoarseGraph, Coarsening};
 pub use csr::Csr;
 pub use delta::{AppliedDelta, DeltaError, GraphDelta, DEFAULT_CHURN_THRESHOLD};

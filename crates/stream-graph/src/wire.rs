@@ -19,7 +19,8 @@
 //! ```
 //!
 //! `source_rate` and `devices` are optional; a request that omits them
-//! inherits the server's configured defaults. Every failure is a named
+//! inherits the server's configured defaults. `devices` (and a realloc
+//! delta's `devices`) is at most [`crate::MAX_DEVICES`]. Every failure is a named
 //! [`WireError`] rendered as an [`ErrorResponse`] line — a malformed
 //! request never drops the connection.
 //!
@@ -56,6 +57,7 @@
 //! plain alloc). `realloc` requires `"v":2`; a v1 realloc is refused as
 //! `bad-request`.
 
+use crate::cluster::MAX_DEVICES;
 use crate::delta::GraphDelta;
 use crate::graph::{Channel, Operator, StreamGraph};
 use crate::serialize::validate_numbers;
@@ -365,6 +367,11 @@ fn finish_request(raw: RawRequest) -> Result<WireRequest, WireError> {
         return Err(WireError::BadRequest(
             "devices must be at least 1".to_string(),
         ));
+    }
+    if let Some(d) = raw.devices.filter(|&d| d > MAX_DEVICES) {
+        return Err(WireError::BadRequest(format!(
+            "devices must be at most {MAX_DEVICES}, got {d}"
+        )));
     }
     if raw.deadline_ms.is_some() && raw.v.unwrap_or(1) < 2 {
         return Err(WireError::BadRequest(
@@ -719,6 +726,37 @@ mod tests {
             parse_request(&mk(None, Some(0)).to_line()),
             Err(WireError::BadRequest(_))
         ));
+        // Device counts are capped, on the request and on a realloc's
+        // delta alike.
+        assert!(parse_request(&mk(None, Some(MAX_DEVICES)).to_line()).is_ok());
+        let err = parse_request(&mk(None, Some(MAX_DEVICES + 1)).to_line()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "bad-request: devices must be at most {MAX_DEVICES}, got {}",
+                MAX_DEVICES + 1
+            )
+        );
+        let realloc = |devices: Option<usize>, delta_devices: Option<usize>| ReallocRequest {
+            id: "r".to_string(),
+            graph: tiny(),
+            prior_placement: vec![0; tiny().num_nodes()],
+            delta: GraphDelta {
+                devices: delta_devices,
+                ..GraphDelta::default()
+            },
+            source_rate: None,
+            devices,
+            v: Some(2),
+            deadline_ms: None,
+        };
+        assert!(parse_request(&realloc(Some(MAX_DEVICES), Some(MAX_DEVICES)).to_line()).is_ok());
+        for (devices, delta_devices) in [(Some(MAX_DEVICES + 1), None), (None, Some(usize::MAX))] {
+            assert!(matches!(
+                parse_request(&realloc(devices, delta_devices).to_line()),
+                Err(WireError::BadRequest(_))
+            ));
+        }
     }
 
     #[test]
