@@ -18,8 +18,8 @@
 
 use crate::refine::{kway_refine, rebalance_targets};
 use spg_graph::delta::DEFAULT_CHURN_THRESHOLD;
-use spg_graph::WeightedGraph;
 use spg_graph::{ClusterSpec, DeltaError, GraphDelta, Placement, StreamGraph, TupleRates};
+use spg_graph::{Csr, WeightedGraph};
 use spg_sim::reward::relative_throughput_with_rates;
 
 /// Tuning of the warm-start path. Mirrors `PartitionConfig` where the
@@ -195,31 +195,25 @@ fn throughput_polish(
     max_moves: usize,
 ) -> usize {
     let k = cluster.devices;
-    let n = graph.num_nodes();
     let cpu_cap = cluster.instr_per_sec();
     let bw = cluster.link_bytes_per_sec();
-    // Incident edges of node v as (other endpoint, traffic, v-is-src) at
-    // `incident[inc_off[v]..inc_off[v + 1]]`, in ascending edge order:
-    // the order candidate moves route traffic in, which fixes the bits
-    // of every load they sum.
-    let mut inc_off = vec![0u32; n + 1];
-    for &(s, t) in graph.edge_list() {
-        inc_off[s as usize + 1] += 1;
-        inc_off[t as usize + 1] += 1;
-    }
-    for v in 0..n {
-        inc_off[v + 1] += inc_off[v];
-    }
-    let mut cursor = inc_off[..n].to_vec();
-    let mut incident = vec![(0u32, 0.0f64, false); inc_off[n] as usize];
-    for (i, &(s, t)) in graph.edge_list().iter().enumerate() {
-        let traffic = rates.edge[i] * graph.channel(spg_graph::EdgeId(i as u32)).payload;
-        incident[cursor[s as usize] as usize] = (t, traffic, true);
-        cursor[s as usize] += 1;
-        incident[cursor[t as usize] as usize] = (s, traffic, false);
-        cursor[t as usize] += 1;
-    }
-    let incident_of = |v: usize| &incident[inc_off[v] as usize..inc_off[v + 1] as usize];
+    // Both ends of every edge as one flat adjacency: entry `2e` is edge
+    // `e` seen from its source, `2e + 1` from its target. Each node's
+    // entries come in ascending edge order — the order candidate moves
+    // route traffic in, which fixes the bits of every load they sum.
+    let traffic = rates.edge_traffic(graph);
+    let incident = Csr::from_edges(
+        graph.num_nodes(),
+        graph
+            .edge_list()
+            .iter()
+            .flat_map(|&(s, t)| [(s, t), (t, s)]),
+    );
+    let incident_of = |v: usize| {
+        incident
+            .neighbors(v as u32)
+            .map(|(u, end)| (u, traffic[end as usize / 2], end % 2 == 0))
+    };
 
     // Hard bound on total candidate evaluations across all rounds: the
     // latency backstop for priors so unbalanced that a binding device
@@ -317,7 +311,7 @@ fn throughput_polish(
             // Ascending order keeps the lowest-device tie preference of
             // the former exhaustive scan.
             targets.clear();
-            for &(u, _, _) in incident_of(v) {
+            for (u, _, _) in incident_of(v) {
                 targets.push(part[u as usize] as usize);
             }
             targets.push(dmin_cpu);
@@ -337,7 +331,7 @@ fn throughput_polish(
                 cand.cpu[from] -= w;
                 undo.push((Slot::Cpu(to), cand.cpu[to]));
                 cand.cpu[to] += w;
-                for &(u, traffic, v_is_src) in incident_of(v) {
+                for (u, traffic, v_is_src) in incident_of(v) {
                     let du = part[u as usize] as usize;
                     if v_is_src {
                         cand.route(from, du, traffic, -1.0, &mut undo);
