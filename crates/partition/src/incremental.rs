@@ -198,9 +198,10 @@ fn throughput_polish(
     let cpu_cap = cluster.instr_per_sec();
     let bw = cluster.link_bytes_per_sec();
     // Both ends of every edge as one flat adjacency: entry `2e` is edge
-    // `e` seen from its source, `2e + 1` from its target. Each node's
-    // entries come in ascending edge order — the order candidate moves
-    // route traffic in, which fixes the bits of every load they sum.
+    // `e` seen from its source, `2e + 1` from its target, and
+    // `incident_of(v)` yields (other endpoint, traffic, v-is-src). Each
+    // node's entries come in ascending edge order — the order candidate
+    // moves route traffic in, which fixes the bits of every load they sum.
     let traffic = rates.edge_traffic(graph);
     let incident = Csr::from_edges(
         graph.num_nodes(),

@@ -14,8 +14,8 @@
 //!
 //! Link loads are summed into a dense row-major `devices × devices`
 //! matrix, one cell per directed device pair, in edge order. The
-//! bottleneck scan reads resources in a fixed order, so a tie never
-//! depends on hashing (see [`SimResult::bottleneck`]).
+//! bottleneck scan reads resources in a fixed order, so a tie resolves
+//! the same way in every process (see [`SimResult::bottleneck`]).
 
 use spg_graph::{ClusterSpec, Placement, StreamGraph, TupleRates};
 

@@ -19,10 +19,10 @@
 //! ```
 //!
 //! `source_rate` and `devices` are optional; a request that omits them
-//! inherits the server's configured defaults. `devices` (and a realloc
-//! delta's `devices`) is at most [`crate::MAX_DEVICES`]. Every failure is a named
-//! [`WireError`] rendered as an [`ErrorResponse`] line — a malformed
-//! request never drops the connection.
+//! inherits the server's configured defaults. `devices`, on a request
+//! or a realloc's delta, is at most [`crate::MAX_DEVICES`]. Every
+//! failure is a named [`WireError`] rendered as an [`ErrorResponse`]
+//! line — a malformed request never drops the connection.
 //!
 //! One single-pass scanner (`crate::wire_fast`) reads every request
 //! line, builds no `Value` tree, and is the authority for what a line
