@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg::gen::{DatasetSpec, Setting};
 use spg::graph::{Channel, ClusterSpec, GraphFeatures, Operator, StreamGraph, StreamGraphBuilder};
+use spg::model::pipeline::MetisCoarsePlacer;
 use spg::model::{CoarsenConfig, CoarsenModel, InferenceScratch};
 use spg::nn::{stable_sigmoid, Tape};
 
@@ -58,6 +59,54 @@ fn corpus() -> Vec<(StreamGraph, ClusterSpec, f64)> {
     edge.add_edge(a, b, Channel::new(10.0)).unwrap();
     graphs.push((edge.finish().unwrap(), cluster, 1e4));
     graphs
+}
+
+/// A briefly-trained model, the same recipe as the serve-cluster
+/// harness: serving always runs a trained checkpoint, whose collapse
+/// probabilities training has moved away from the untrained ones.
+fn trained_model() -> CoarsenModel {
+    let spec = DatasetSpec::scaled_down(Setting::Small);
+    let graphs: Vec<_> = (0..4u64)
+        .map(|s| spg::gen::generate_graph(&spec, 9 + s))
+        .collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let model = CoarsenModel::new(CoarsenConfig::default(), &mut rng);
+    let mut trainer = spg::model::ReinforceTrainer::builder(model, MetisCoarsePlacer::new(9))
+        .graphs(graphs)
+        .cluster(spec.cluster())
+        .source_rate(spec.source_rate)
+        .options(spg::model::TrainOptions::new().seed(9))
+        .build();
+    trainer.train_epoch();
+    trainer.into_model()
+}
+
+/// Fold every probability's `to_bits()` into an FNV-1a-64 hash, byte by
+/// byte in little-endian order, continuing from `h`.
+fn fnv1a_bits(mut h: u64, probs: &[f32]) -> u64 {
+    for p in probs {
+        for byte in p.to_bits().to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn probability_bits_are_pinned() {
+    // Golden digest of every collapse probability of a trained model
+    // over the corpus, in corpus order: any change to the forward — a
+    // kernel, an activation, an accumulation order — moves it.
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    let model = trained_model();
+    let mut scratch = InferenceScratch::new();
+    let mut digest = FNV_OFFSET;
+    for (graph, cluster, rate) in &corpus() {
+        let feats = GraphFeatures::extract(graph, cluster, *rate);
+        digest = fnv1a_bits(digest, &model.infer_probs(graph, &feats, &mut scratch));
+    }
+    assert_eq!(digest, 0xf41ba963eb60e3e7, "probability bits moved");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spg::gen::{DatasetSpec, Setting};
-use spg::graph::wire::{shutdown_line, AllocRequest, WireResponse};
+use spg::gen::{drift_scenario, DatasetSpec, Setting};
+use spg::graph::wire::{shutdown_line, AllocRequest, ReallocRequest, WireResponse};
 use spg::graph::StreamGraph;
 use spg::model::checkpoint::Checkpoint;
 use spg::model::pipeline::MetisCoarsePlacer;
@@ -158,6 +158,87 @@ fn replica_count_cannot_change_a_single_response_bit() {
             assert!(rep.contains("\"cached\":true"), "repeat not cached: {rep}");
         }
     }
+}
+
+/// Fold `bytes` into an FNV-1a-64 hash, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        h ^= byte as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+#[test]
+fn f32_transcript_bytes_are_pinned() {
+    // Golden digest of every response line a 1-replica server writes for
+    // one sequential corpus: v1 and v2 allocs, a cached repeat, and a
+    // warm realloc of one of the answers. The replica-count pin above
+    // compares servers within one run; this one holds the bytes across
+    // commits, so a change to the forward, the placer, the simulator or
+    // the response encoding moves it.
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    let ck = quick_checkpoint(31);
+    let spec = DatasetSpec::scaled_down(Setting::Small);
+    let graphs: Vec<_> = (0..4u64)
+        .map(|s| spg::gen::generate_graph(&spec, 600 + s))
+        .collect();
+    let cfg = ServeConfig::builder().replicas(1).build().unwrap();
+    let (addr, handle) = spawn_server(cfg, ck);
+    let mut client = Client::connect(&addr);
+    let mut lines = Vec::new();
+    let mut ask = |client: &mut Client, line: String| {
+        client.send_line(&line);
+        let answer = client.read_raw_line();
+        lines.push(answer.clone());
+        answer
+    };
+    ask(&mut client, alloc_request("v1-a", &graphs[0]).to_line());
+    ask(&mut client, alloc_request("v1-b", &graphs[1]).to_line());
+    let v2 = |id: &str, g: &StreamGraph| AllocRequest {
+        v: Some(2),
+        ..alloc_request(id, g)
+    };
+    ask(&mut client, v2("v2-a", &graphs[2]).to_line());
+    let prior_line = ask(&mut client, v2("v2-b", &graphs[3]).to_line());
+    let repeat = ask(&mut client, alloc_request("rep", &graphs[0]).to_line());
+    assert!(
+        repeat.contains("\"cached\":true"),
+        "repeat not cached: {repeat}"
+    );
+
+    let WireResponse::Ok(prior) = WireResponse::parse(&prior_line).expect("parse") else {
+        panic!("alloc must succeed: {prior_line}")
+    };
+    let drift = drift_scenario(&graphs[3], spec.cluster().devices, spec.source_rate, 1);
+    let realloc = ReallocRequest {
+        id: "warm".to_string(),
+        graph: graphs[3].clone(),
+        prior_placement: prior.placement,
+        delta: drift.delta,
+        source_rate: None,
+        devices: None,
+        v: Some(2),
+        deadline_ms: None,
+    };
+    let warm = ask(&mut client, realloc.to_line());
+    assert!(
+        warm.contains("\"realloc\":\"warm\""),
+        "realloc not warm: {warm}"
+    );
+    client.shutdown();
+    let report = handle.join().expect("server thread");
+    assert_eq!(report.errors, 0);
+
+    let digest = lines.iter().fold(FNV_OFFSET, |h, line| {
+        fnv1a(fnv1a(h, line.as_bytes()), b"\n")
+    });
+    assert_eq!(
+        digest,
+        0xcbfc807e5881b7d6,
+        "f32 response bytes moved:\n{}",
+        lines.join("\n")
+    );
 }
 
 #[test]
