@@ -26,7 +26,7 @@ use crate::lru::{realloc_fingerprint, request_fingerprint};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::replica::{Completion, Job, JobKind};
 use crate::server::ServeConfig;
-use spg_graph::wire::{parse_request, WireRequest};
+use spg_graph::wire::{parse_request_with_id, WireRequest};
 use spg_graph::ClusterSpec;
 use spg_obs::TelemetrySink;
 use spg_sim::inject::{Fault, Site};
@@ -153,41 +153,42 @@ impl Router<'_> {
     /// rendezvous-hashed onto a replica queue (or bounce with
     /// `overloaded` / `draining`).
     fn handle_line(&mut self, line: &str, conn_id: u64, conn: &mut Conn) {
-        let (id, graph, devices, rate, version, deadline_ms, kind) = match parse_request(line) {
-            Ok(WireRequest::Alloc(req)) => (
-                req.id,
-                req.graph,
-                req.devices,
-                req.source_rate,
-                req.v.unwrap_or(1),
-                req.deadline_ms,
-                JobKind::Alloc,
-            ),
-            Ok(WireRequest::Realloc(req)) => (
-                req.id,
-                req.graph,
-                req.devices,
-                req.source_rate,
-                req.v.unwrap_or(1),
-                req.deadline_ms,
-                JobKind::Realloc {
-                    prior_placement: req.prior_placement,
-                    delta: req.delta,
-                },
-            ),
-            Ok(WireRequest::Shutdown) => {
-                // Dropping the senders is the drain signal: each replica
-                // finishes its backlog and exits when its queue closes.
-                self.draining = true;
-                self.job_txs.clear();
-                return;
-            }
-            Err(e) => {
-                self.stats.protocol_errors += 1;
-                conn.queue_line(&e.response(None).to_line());
-                return;
-            }
-        };
+        let (id, graph, devices, rate, version, deadline_ms, kind) =
+            match parse_request_with_id(line) {
+                Ok(WireRequest::Alloc(req)) => (
+                    req.id,
+                    req.graph,
+                    req.devices,
+                    req.source_rate,
+                    req.v.unwrap_or(1),
+                    req.deadline_ms,
+                    JobKind::Alloc,
+                ),
+                Ok(WireRequest::Realloc(req)) => (
+                    req.id,
+                    req.graph,
+                    req.devices,
+                    req.source_rate,
+                    req.v.unwrap_or(1),
+                    req.deadline_ms,
+                    JobKind::Realloc {
+                        prior_placement: req.prior_placement,
+                        delta: req.delta,
+                    },
+                ),
+                Ok(WireRequest::Shutdown) => {
+                    // Dropping the senders is the drain signal: each replica
+                    // finishes its backlog and exits when its queue closes.
+                    self.draining = true;
+                    self.job_txs.clear();
+                    return;
+                }
+                Err((e, id)) => {
+                    self.stats.protocol_errors += 1;
+                    conn.queue_line(&e.response(id).to_line());
+                    return;
+                }
+            };
         let refuse = |stats: &mut IoStats, conn: &mut Conn, err: ServeError, id: String| {
             stats.protocol_errors += 1;
             conn.queue_line(&err.response(Some(id)).to_line());

@@ -339,15 +339,24 @@ fn opt_field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, serde::
 /// validation is [`WireError::InvalidGraph`]. Never panics on untrusted
 /// input.
 pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
-    match crate::wire_fast::scan(line).map_err(WireError::BadRequest)? {
-        Scanned::Shutdown => Ok(WireRequest::Shutdown),
-        Scanned::Request(raw) => finish_request(raw),
+    parse_request_with_id(line).map_err(|(e, _)| e)
+}
+
+/// [`parse_request`], but a refusal also returns the `id` of a line
+/// that scanned and then failed validation, so the error response can
+/// name the request; a line that did not scan has no id to return.
+pub fn parse_request_with_id(line: &str) -> Result<WireRequest, (WireError, Option<String>)> {
+    match crate::wire_fast::scan(line) {
+        Err(e) => Err((WireError::BadRequest(e), None)),
+        Ok(Scanned::Shutdown) => Ok(WireRequest::Shutdown),
+        Ok(Scanned::Request(mut raw)) => finish_request(&mut raw).map_err(|e| (e, Some(raw.id))),
     }
 }
 
 /// Validation tail: everything between "the line is shaped like
-/// a request" and "this is a checked [`WireRequest`]".
-fn finish_request(raw: RawRequest) -> Result<WireRequest, WireError> {
+/// a request" and "this is a checked [`WireRequest`]". It takes the
+/// parts it keeps out of `raw`, and leaves the id there on a refusal.
+fn finish_request(raw: &mut RawRequest) -> Result<WireRequest, WireError> {
     if let Some(v) = raw.v {
         if !SUPPORTED_VERSIONS.contains(&v) {
             return Err(WireError::UnsupportedVersion(format!(
@@ -380,12 +389,16 @@ fn finish_request(raw: RawRequest) -> Result<WireRequest, WireError> {
     }
     // The constructor validates structure as it builds the graph, once;
     // the numeric checks are the ones dataset loading applies.
-    let graph = StreamGraph::from_parts(raw.ops, raw.edges, raw.channels)
-        .map_err(|e| WireError::InvalidGraph(e.to_string()))?;
+    let graph = StreamGraph::from_parts(
+        std::mem::take(&mut raw.ops),
+        std::mem::take(&mut raw.edges),
+        std::mem::take(&mut raw.channels),
+    )
+    .map_err(|e| WireError::InvalidGraph(e.to_string()))?;
     validate_numbers(&graph).map_err(|e| WireError::InvalidGraph(e.to_string()))?;
-    let Some(delta) = raw.delta else {
+    let Some(delta) = raw.delta.take() else {
         return Ok(WireRequest::Alloc(AllocRequest {
-            id: raw.id,
+            id: std::mem::take(&mut raw.id),
             graph,
             source_rate: raw.source_rate,
             devices: raw.devices,
@@ -401,7 +414,7 @@ fn finish_request(raw: RawRequest) -> Result<WireRequest, WireError> {
             "realloc requires protocol v2 (send \"v\":2)".to_string(),
         ));
     }
-    let Some(prior_placement) = raw.prior_placement else {
+    let Some(prior_placement) = raw.prior_placement.take() else {
         return Err(WireError::BadRequest(
             "realloc requires `prior_placement`".to_string(),
         ));
@@ -417,7 +430,7 @@ fn finish_request(raw: RawRequest) -> Result<WireRequest, WireError> {
         .validate_shape()
         .map_err(|e| WireError::BadRequest(e.to_string()))?;
     Ok(WireRequest::Realloc(ReallocRequest {
-        id: raw.id,
+        id: std::mem::take(&mut raw.id),
         graph,
         prior_placement,
         delta,

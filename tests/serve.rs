@@ -216,6 +216,47 @@ fn malformed_input_gets_named_error_and_connection_survives() {
 }
 
 #[test]
+fn pipelined_refusals_carry_their_request_ids() {
+    // Lines that scan but fail validation are refused under their own
+    // ids, in order, so a client pipelining on one connection can tell
+    // which request failed. A line that does not scan has no id.
+    let ck = quick_checkpoint(13, vec![]);
+    let (addr, handle) = spawn_server(ServeConfig::default(), ck);
+    let spec = DatasetSpec::scaled_down(Setting::Small);
+    let g = spg::gen::generate_graph(&spec, 6);
+    let zero_devices = AllocRequest {
+        devices: Some(0),
+        ..alloc_request("a", &g)
+    };
+    let zero_rate = AllocRequest {
+        source_rate: Some(0.0),
+        ..alloc_request("b", &g)
+    };
+    let cyclic = r#"{"id":"c","graph":{"ops":[{"ipt":1.0},{"ipt":1.0}],"edges":[[0,1],[1,0]],"channels":[{"payload":1.0,"selectivity":1.0},{"payload":1.0,"selectivity":1.0}]}}"#;
+
+    let mut client = Client::connect(&addr);
+    client.send_line(&zero_devices.to_line());
+    client.send_line(&zero_rate.to_line());
+    client.send_line(cyclic);
+    client.send_line("not json");
+    for (id, code) in [
+        (Some("a"), "bad-request"),
+        (Some("b"), "bad-request"),
+        (Some("c"), "invalid-graph"),
+        (None, "bad-request"),
+    ] {
+        let WireResponse::Err(e) = client.read_response() else {
+            panic!("request {id:?} must be refused")
+        };
+        assert_eq!(e.id.as_deref(), id, "{}: {}", e.error, e.detail);
+        assert_eq!(e.error, code, "{id:?}: {}", e.detail);
+    }
+    client.shutdown();
+    let report = handle.join().expect("server thread");
+    assert_eq!(report.errors, 4);
+}
+
+#[test]
 fn degenerate_graphs_round_trip_through_the_server() {
     // Train WITH the degenerate graphs in the buffer, then serve them:
     // the entire path must survive 0-edge and 1-node graphs.
