@@ -17,7 +17,6 @@ use spg_core::{
 };
 use spg_gen::{DatasetSpec, Setting};
 use spg_graph::StreamGraph;
-use spg_nn::quant::{gemm_i8, quantize_rows_i8};
 use spg_nn::Matrix;
 use std::path::Path;
 
@@ -108,29 +107,6 @@ fn bench_matmul(c: &mut Criterion) {
             BenchmarkId::new("f32", format!("{rows}x{cols}x{hidden}")),
             |bch| bch.iter(|| black_box(a.matmul(&b))),
         );
-    }
-    // Integer-accumulated kernel rate of the quantized serve path
-    // (`spg serve --precision int8`): the i8×i8→i32 gemm on
-    // pre-quantized operands, deterministic at any speed.
-    {
-        let (a, b) = matmul_operands(n, n, n);
-        let mut bt = vec![0.0f32; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bt[c * n + r] = b.data[r * n + c];
-            }
-        }
-        let (mut a_q, mut a_scale) = (Vec::new(), Vec::new());
-        let (mut bt_q, mut bt_scale) = (Vec::new(), Vec::new());
-        quantize_rows_i8(&a.data, n, n, &mut a_q, &mut a_scale);
-        quantize_rows_i8(&bt, n, n, &mut bt_q, &mut bt_scale);
-        let mut out = vec![0i32; n * n];
-        group.bench_function(BenchmarkId::new("int8", format!("{n}x{n}")), |bch| {
-            bch.iter(|| {
-                gemm_i8(&a_q, &bt_q, &mut out, n, n, n);
-                black_box(&out);
-            })
-        });
     }
     group.finish();
     // The msg layer's two backward products at a scaled-large edge count,

@@ -22,10 +22,10 @@ use spg_nn::{Matrix, ParamSet, Tape, Var};
 
 /// The edge-aware GNN encoder.
 #[derive(Debug, Clone)]
-pub struct EdgeAwareGnn<L = Linear> {
-    pub(crate) input_proj: L,
-    pub(crate) msg: Mlp<L>,
-    pub(crate) update: L,
+pub struct EdgeAwareGnn {
+    pub(crate) input_proj: Linear,
+    pub(crate) msg: Mlp,
+    pub(crate) update: Linear,
     pub(crate) hidden: usize,
     pub(crate) hops: usize,
     pub(crate) edge_encoding: bool,

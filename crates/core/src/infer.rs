@@ -1,16 +1,12 @@
-//! Tape-free inference for [`CoarsenModel`] and its int8 form,
-//! [`QuantizedModel`], one graph per forward.
+//! Tape-free inference for [`CoarsenModel`], one graph per forward.
 //!
 //! The training forward builds a [`spg_nn::Tape`]: every op allocates a
 //! node, every parameter use clones its matrix, and gather/segment passes
 //! walk COO index vectors rebuilt per call. None of that is needed at
 //! serve time — inference never backprops — so this module re-implements
-//! the encoder and collapse head as plain [`Matrix`] ops. The forward is
-//! written once, over [`InferLayer`]: a [`CoarsenNet`] of f32
-//! [`Linear`](spg_nn::Linear) layers runs the exact matmul and tanh, one
-//! of [`QuantizedLinear`] layers runs the int8 GEMM and the fast tanh,
-//! and the graph ops (gather, segment mean, concat) are shared. The f32
-//! forward has four properties:
+//! the encoder and collapse head as plain [`Matrix`] ops over the same
+//! [`Linear`](spg_nn::Linear) layers, with the exact matmul and tanh.
+//! The forward has four properties:
 //!
 //! * **Zero steady-state allocation**: intermediates and index maps come
 //!   from an [`InferenceScratch`] arena reused across calls (a serve
@@ -25,28 +21,22 @@
 //!   feature bits) rows; the message layer and its tanh run on those
 //!   rows, and the segment mean pulls each edge's row through an
 //!   edge→row map. The message layer and the merge layer's head segment
-//!   take their node columns through [`InferLayer::forward_gathered`],
-//!   which the f32 [`Linear`](spg_nn::Linear) runs by projecting every
-//!   node once ([`Matrix::matmul_gathered_into`]).
+//!   take their node columns through
+//!   [`Linear::forward_gathered`](spg_nn::Linear::forward_gathered),
+//!   which projects every node once ([`Matrix::matmul_gathered_into`]).
 //! * **Bitwise identity**: every op replicates its tape counterpart's
 //!   accumulation order exactly (CSR buckets list edge ids ascending, so
 //!   per-segment sums add in the same order the COO loop did; divisions
 //!   use the same `/= count`; a shared message row has the bits each of
 //!   its edges' rows would have had, since every layer is row-wise). The
 //!   `tests/infer.rs` corpus pins tape-vs-tape-free equality bit for bit.
-//!
-//! The int8 forward shares the first three (its layers keep the default
-//! gathered forward, since they quantize each concatenated row) and is
-//! deterministic instead of tape-identical;
-//! `tests/quantized_agreement.rs` pins its bits and how closely its
-//! placements agree with f32.
 
 use crate::collapse::CollapseHead;
 use crate::encoder::EdgeAwareGnn;
-use crate::model::{sigmoid, CoarsenModel, CoarsenNet};
+use crate::model::{sigmoid, CoarsenModel};
 use spg_graph::features::{EDGE_FEATURES, NODE_FEATURES};
 use spg_graph::{Csr, GraphFeatures, StreamGraph};
-use spg_nn::{InferLayer, Matrix, Mlp, QuantizedLinear};
+use spg_nn::{Matrix, Mlp};
 
 pub use spg_nn::InferenceScratch;
 
@@ -54,7 +44,7 @@ pub use spg_nn::InferenceScratch;
 /// forward. A message is a row-wise function of `[h[sender] : ef[e]]`,
 /// so the edges of one sender whose feature rows have the same bits get
 /// one row, and identical rows give identical bits through any row-wise
-/// layer at either precision.
+/// layer.
 struct MessageRows {
     /// Sender node of each row.
     sender: Vec<u32>,
@@ -108,14 +98,9 @@ impl MessageRows {
 
     /// The messages `layer([h[sender] : feats])`, one per row, through
     /// the layer's gathered forward and its tanh.
-    fn messages<L: InferLayer>(
-        &self,
-        layer: &Mlp<L>,
-        h: &Matrix,
-        s: &mut InferenceScratch,
-    ) -> Matrix {
+    fn messages(&self, layer: &Mlp, h: &Matrix, s: &mut InferenceScratch) -> Matrix {
         let mut msg = layer.forward_gathered_infer(h, &self.sender, &self.feats, s);
-        L::tanh_assign(&mut msg);
+        msg.tanh_assign();
         msg
     }
 
@@ -164,11 +149,11 @@ fn concat2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-impl<L: InferLayer> EdgeAwareGnn<L> {
+impl EdgeAwareGnn {
     /// Tape-free [`EdgeAwareGnn::encode`] of a graph with at least one
     /// edge: returns the `[N x 2m]` node representation as an arena
-    /// matrix (bitwise identical to the tape path for f32 layers). `put`
-    /// it back when done.
+    /// matrix (bitwise identical to the tape path). `put` it back when
+    /// done.
     fn encode_infer(
         &self,
         graph: &StreamGraph,
@@ -182,9 +167,9 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
         let mut nf = s.take(n, NODE_FEATURES);
         nf.data.copy_from_slice(&feats.node.0);
         let mut h_up = s.take(n, m);
-        self.input_proj.forward_infer(&nf, s, &mut h_up);
+        self.input_proj.forward_infer(&nf, &mut h_up);
         s.put(nf);
-        L::tanh_assign(&mut h_up);
+        h_up.tanh_assign();
 
         let mut h_down = s.take(n, m);
         h_down.data.copy_from_slice(&h_up.data);
@@ -210,8 +195,8 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
             s.put(msg);
             concat2(&h_up, &pool, &mut cat2);
             let mut up_new = s.take(n, m);
-            self.update.forward_infer(&cat2, s, &mut up_new);
-            L::tanh_assign(&mut up_new);
+            self.update.forward_infer(&cat2, &mut up_new);
+            up_new.tanh_assign();
 
             // Downstream view: messages flow against edge direction to src.
             let msg = down.messages(&self.msg, &h_down, s);
@@ -220,8 +205,8 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
             s.put(msg);
             concat2(&h_down, &pool, &mut cat2);
             let mut down_new = s.take(n, m);
-            self.update.forward_infer(&cat2, s, &mut down_new);
-            L::tanh_assign(&mut down_new);
+            self.update.forward_infer(&cat2, &mut down_new);
+            down_new.tanh_assign();
 
             s.put(h_up);
             s.put(h_down);
@@ -241,10 +226,9 @@ impl<L: InferLayer> EdgeAwareGnn<L> {
     }
 }
 
-impl<L: InferLayer> CollapseHead<L> {
+impl CollapseHead {
     /// Tape-free [`CollapseHead::logits`]: per-edge logits `[E x 1]` as
-    /// an arena matrix (bitwise identical to the tape path for f32
-    /// layers).
+    /// an arena matrix (bitwise identical to the tape path).
     fn logits_infer(
         &self,
         graph: &StreamGraph,
@@ -259,17 +243,17 @@ impl<L: InferLayer> CollapseHead<L> {
         let eh = self.edge_proj.output_dim();
 
         let mut head_all = s.take(n, m);
-        self.head_proj.forward_infer(h, s, &mut head_all);
+        self.head_proj.forward_infer(h, &mut head_all);
         let mut tail_all = s.take(n, m);
-        self.tail_proj.forward_infer(h, s, &mut tail_all);
+        self.tail_proj.forward_infer(h, &mut tail_all);
 
         let mut ef_in = s.take(e, EDGE_FEATURES);
         if self.edge_collapse_features {
             ef_in.data.copy_from_slice(&feats.edge.0);
         }
         let mut ef = s.take(e, eh);
-        self.edge_proj.forward_infer(&ef_in, s, &mut ef);
-        L::tanh_assign(&mut ef);
+        self.edge_proj.forward_infer(&ef_in, &mut ef);
+        ef.tanh_assign();
         s.put(ef_in);
 
         // The merge MLP's input is `[head_all[u] : tail_all[v] : ef]`;
@@ -293,10 +277,10 @@ impl<L: InferLayer> CollapseHead<L> {
     }
 }
 
-impl<L: InferLayer> CoarsenNet<L> {
+impl CoarsenModel {
     /// Tape-free inference probabilities for one graph, reusing a scratch
-    /// arena across calls; empty for edgeless graphs. With f32 layers the
-    /// result is bitwise identical to the tape forward + sigmoid.
+    /// arena across calls. Bitwise identical to the tape forward
+    /// ([`CoarsenModel::forward`] + sigmoid); empty for edgeless graphs.
     pub fn infer_probs(
         &self,
         graph: &StreamGraph,
@@ -312,54 +296,6 @@ impl<L: InferLayer> CoarsenNet<L> {
         let probs = z.data.iter().map(|&x| sigmoid(x)).collect();
         scratch.put(z);
         probs
-    }
-}
-
-/// Int8-quantized form of [`CoarsenModel`] for the opt-in serve path:
-/// every [`Linear`](spg_nn::Linear) becomes a [`QuantizedLinear`]
-/// (per-output-channel symmetric scales fixed at quantization time) and
-/// every tanh the fast rational one, while the graph ops (gather,
-/// segment mean, concat) and the activations between layers stay f32.
-/// Results are deterministic across replicas and SIMD tiers — the
-/// integer accumulation argument lives in `spg_nn::quant` — but are
-/// *not* bitwise equal to the f32 path; `tests/quantized_agreement.rs`
-/// pins their bits and how closely the resulting placements must agree.
-pub type QuantizedModel = CoarsenNet<QuantizedLinear>;
-
-impl CoarsenModel {
-    /// Tape-free inference probabilities for one graph, reusing a scratch
-    /// arena across calls. Bitwise identical to the tape forward
-    /// ([`CoarsenModel::forward`] + sigmoid); empty for edgeless graphs.
-    pub fn infer_probs(
-        &self,
-        graph: &StreamGraph,
-        feats: &GraphFeatures,
-        scratch: &mut InferenceScratch,
-    ) -> Vec<f32> {
-        self.net.infer_probs(graph, feats, scratch)
-    }
-
-    /// Quantize every weight matrix into an int8 [`QuantizedModel`].
-    /// Done once at checkpoint load; the f32 model stays untouched.
-    pub fn quantize(&self) -> QuantizedModel {
-        let (enc, head) = (&self.net.encoder, &self.net.head);
-        CoarsenNet {
-            encoder: EdgeAwareGnn {
-                input_proj: QuantizedLinear::from_linear(&enc.input_proj),
-                msg: enc.msg.quantize(),
-                update: QuantizedLinear::from_linear(&enc.update),
-                hidden: enc.hidden,
-                hops: enc.hops,
-                edge_encoding: enc.edge_encoding,
-            },
-            head: CollapseHead {
-                head_proj: QuantizedLinear::from_linear(&head.head_proj),
-                tail_proj: QuantizedLinear::from_linear(&head.tail_proj),
-                edge_proj: QuantizedLinear::from_linear(&head.edge_proj),
-                merge: head.merge.quantize(),
-                edge_collapse_features: head.edge_collapse_features,
-            },
-        }
     }
 }
 

@@ -39,8 +39,8 @@ pub use checkpoint::{
 };
 pub use config::CoarsenConfig;
 pub use fault::{FaultError, FaultEvent, FaultKind, FaultPolicy, FaultStats, RecoveryAction};
-pub use infer::{InferenceScratch, QuantizedModel};
-pub use model::{CoarsenModel, CoarsenNet};
+pub use infer::InferenceScratch;
+pub use model::CoarsenModel;
 pub use pipeline::{CoarsePlacer, CoarsenAllocator, CoarsenOracleAllocator, MetisCoarsePlacer};
 pub use policy::{CoarseningPolicy, DecodeMode};
 pub use reinforce::{ReinforceTrainer, ReinforceTrainerBuilder, TrainOptions, TrainStats};

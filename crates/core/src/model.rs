@@ -6,24 +6,16 @@ use crate::encoder::EdgeAwareGnn;
 use crate::infer::InferenceScratch;
 use rand::Rng;
 use spg_graph::{ClusterSpec, GraphFeatures, StreamGraph};
-use spg_nn::{Linear, ParamSet, Tape, Var};
+use spg_nn::{ParamSet, Tape, Var};
 
-/// The coarsening network — encoder and collapse head — with layers of
-/// type `L`: [`Linear`] inside a trainable [`CoarsenModel`], quantized
-/// ones in a [`crate::QuantizedModel`]. Its tape-free forward is written
-/// once, for every layer type (see [`crate::infer`]).
-#[derive(Debug, Clone)]
-pub struct CoarsenNet<L = Linear> {
-    pub(crate) encoder: EdgeAwareGnn<L>,
-    pub(crate) head: CollapseHead<L>,
-}
-
-/// The edge-collapsing coarsening model (§IV).
+/// The edge-collapsing coarsening model (§IV): encoder and collapse
+/// head.
 #[derive(Debug, Clone)]
 pub struct CoarsenModel {
     /// Hyperparameters (kept for checkpointing / ablation bookkeeping).
     pub config: CoarsenConfig,
-    pub(crate) net: CoarsenNet,
+    pub(crate) encoder: EdgeAwareGnn,
+    pub(crate) head: CollapseHead,
     params: ParamSet,
 }
 
@@ -35,7 +27,8 @@ impl CoarsenModel {
         let head = CollapseHead::new(&config, encoder.output_dim(), &mut params, rng);
         Self {
             config,
-            net: CoarsenNet { encoder, head },
+            encoder,
+            head,
             params,
         }
     }
@@ -52,8 +45,8 @@ impl CoarsenModel {
             return None;
         }
         let view = graph.topo_view();
-        let h = self.net.encoder.encode(t, &view, feats);
-        Some(self.net.head.logits(t, &view, feats, h))
+        let h = self.encoder.encode(t, &view, feats);
+        Some(self.head.logits(t, &view, feats, h))
     }
 
     /// Inference-only collapse probabilities per edge.

@@ -1,6 +1,6 @@
 //! Layers built on the tape: `Linear`, `Mlp`, and an `LstmCell` (used by
-//! the Graph-enc-dec baseline's sequential device decoder), plus the
-//! [`InferLayer`] interface the tape-free forward runs on.
+//! the Graph-enc-dec baseline's sequential device decoder). `Linear` and
+//! `Mlp` also have the tape-free forwards that inference runs.
 
 use crate::init::xavier;
 use crate::matrix::Matrix;
@@ -38,67 +38,31 @@ impl Linear {
     pub fn input_dim(&self) -> usize {
         self.w.shape().0
     }
-}
 
-/// A dense layer plus the tanh its precision uses: everything the
-/// tape-free forward needs from a layer, so one forward runs f32
-/// ([`Linear`]) and int8 ([`crate::QuantizedLinear`]) alike.
-pub trait InferLayer {
     /// Output width.
-    fn output_dim(&self) -> usize;
-
-    /// Tape-free forward into a preallocated `out` (`x.rows x
-    /// output_dim`); any staging buffers come from `scratch`.
-    fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Matrix);
-
-    /// [`Self::forward_infer`] over the rows `[nodes[idx[i]] : tail[i]]`,
-    /// into `out` (`idx.len() x output_dim`). The default gathers and
-    /// concatenates those rows, then runs the plain forward; a layer may
-    /// instead work on each node row once, as long as every output row
-    /// keeps the default's bits.
-    fn forward_gathered(
-        &self,
-        nodes: &Matrix,
-        idx: &[u32],
-        tail: &Matrix,
-        scratch: &mut InferenceScratch,
-        out: &mut Matrix,
-    ) {
-        let w = nodes.cols;
-        let mut cat = scratch.take(idx.len(), w + tail.cols);
-        for (i, &v) in idx.iter().enumerate() {
-            let row = cat.row_mut(i);
-            row[..w].copy_from_slice(nodes.row(v as usize));
-            row[w..].copy_from_slice(tail.row(i));
-        }
-        self.forward_infer(&cat, scratch, out);
-        scratch.put(cat);
-    }
-
-    /// The in-place tanh that follows this precision's layers.
-    fn tanh_assign(m: &mut Matrix);
-}
-
-impl InferLayer for Linear {
-    fn output_dim(&self) -> usize {
+    pub fn output_dim(&self) -> usize {
         self.w.shape().1
     }
 
-    /// Reads the weights in place — no parameter clone, no tape node —
-    /// and produces bitwise-identical values to [`Linear::forward`].
-    fn forward_infer(&self, x: &Matrix, _scratch: &mut InferenceScratch, out: &mut Matrix) {
+    /// Tape-free forward into a preallocated `out` (`x.rows x
+    /// output_dim`). Reads the weights in place — no parameter clone, no
+    /// tape node — and produces bitwise-identical values to
+    /// [`Linear::forward`].
+    pub fn forward_infer(&self, x: &Matrix, out: &mut Matrix) {
         let w = self.w.0.borrow();
         let b = self.b.0.borrow();
         x.matmul_into(&w.value, out);
         out.add_row_assign(&b.value);
     }
 
-    /// Projects every node row once through the weight rows that face
-    /// the node columns, then continues each gathered row's chains over
-    /// the tail columns from its node's projection
-    /// ([`Matrix::matmul_gathered_into`]) and adds the bias last: the
-    /// same chain of roundings as the default's concatenated row.
-    fn forward_gathered(
+    /// [`Self::forward_infer`] over the rows `[nodes[idx[i]] : tail[i]]`,
+    /// into `out` (`idx.len() x output_dim`). Projects every node row
+    /// once through the weight rows that face the node columns, then
+    /// continues each gathered row's chains over the tail columns from
+    /// its node's projection ([`Matrix::matmul_gathered_into`]) and adds
+    /// the bias last: the same chain of roundings as the concatenated
+    /// row would take through [`Self::forward_infer`].
+    pub fn forward_gathered(
         &self,
         nodes: &Matrix,
         idx: &[u32],
@@ -118,11 +82,6 @@ impl InferLayer for Linear {
         tail.matmul_gathered_into(&w.value, nodes.cols, &proj, idx, out);
         scratch.put(proj);
         out.add_row_assign(&b.value);
-    }
-
-    /// The exact tanh, the same scalar op as the tape's.
-    fn tanh_assign(m: &mut Matrix) {
-        m.tanh_assign();
     }
 }
 
@@ -148,14 +107,10 @@ impl Activation {
 }
 
 /// Multi-layer perceptron: hidden layers with activation, linear output.
-/// Trained with [`Linear`] layers; `Mlp<QuantizedLinear>` is its int8
-/// inference form (see [`Mlp::quantize`]).
-///
-/// [`QuantizedLinear`]: crate::QuantizedLinear
 #[derive(Debug, Clone)]
-pub struct Mlp<L = Linear> {
-    pub(crate) layers: Vec<L>,
-    pub(crate) activation: Activation,
+pub struct Mlp {
+    layers: Vec<Linear>,
+    activation: Activation,
 }
 
 impl Mlp {
@@ -185,21 +140,18 @@ impl Mlp {
         }
         x
     }
-}
 
-impl<L: InferLayer> Mlp<L> {
-    /// Tape-free forward; intermediates ping-pong through `scratch`. A
-    /// Tanh hidden layer takes the layer type's own tanh, so
-    /// `Mlp<Linear>` is bitwise identical to [`Mlp::forward`]. The
-    /// returned matrix comes from the arena — `put` it back when done.
+    /// Tape-free forward; intermediates ping-pong through `scratch`,
+    /// bitwise identical to [`Mlp::forward`]. The returned matrix comes
+    /// from the arena — `put` it back when done.
     pub fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch) -> Matrix {
         let mut out = scratch.take(x.rows, self.layers[0].output_dim());
-        self.layers[0].forward_infer(x, scratch, &mut out);
+        self.layers[0].forward_infer(x, &mut out);
         self.forward_rest(out, scratch)
     }
 
     /// [`Self::forward_infer`] over the rows `[nodes[idx[i]] : tail[i]]`:
-    /// the first layer takes them through [`InferLayer::forward_gathered`].
+    /// the first layer takes them through [`Linear::forward_gathered`].
     pub fn forward_gathered_infer(
         &self,
         nodes: &Matrix,
@@ -217,7 +169,7 @@ impl<L: InferLayer> Mlp<L> {
         for layer in &self.layers[1..] {
             self.activate(&mut cur);
             let mut out = scratch.take(cur.rows, layer.output_dim());
-            layer.forward_infer(&cur, scratch, &mut out);
+            layer.forward_infer(&cur, &mut out);
             scratch.put(cur);
             cur = out;
         }
@@ -227,7 +179,7 @@ impl<L: InferLayer> Mlp<L> {
     /// The hidden-layer activation, in place.
     fn activate(&self, m: &mut Matrix) {
         match self.activation {
-            Activation::Tanh => L::tanh_assign(m),
+            Activation::Tanh => m.tanh_assign(),
             Activation::Relu => m.relu_assign(),
             Activation::Sigmoid => m.sigmoid_assign(),
         }

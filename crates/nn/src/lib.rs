@@ -23,15 +23,13 @@ pub mod layers;
 pub mod matrix;
 pub mod optim;
 pub mod param;
-pub mod quant;
 pub mod scratch;
 pub mod tanh;
 pub mod tape;
 
-pub use layers::{InferLayer, Linear, LstmCell, Mlp};
+pub use layers::{Linear, LstmCell, Mlp};
 pub use matrix::{stable_sigmoid, Matrix};
 pub use optim::Adam;
 pub use param::{Param, ParamSet};
-pub use quant::QuantizedLinear;
 pub use scratch::InferenceScratch;
 pub use tape::{Tape, Var};

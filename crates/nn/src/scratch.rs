@@ -8,7 +8,6 @@
 //! the forward at all.
 
 use crate::matrix::Matrix;
-use crate::quant::QuantScratch;
 
 /// Pool of `Vec<f32>` backing stores for inference intermediates.
 ///
@@ -17,14 +16,11 @@ use crate::quant::QuantScratch;
 /// storage to the pool. Dropping a taken matrix instead of `put`ting it
 /// back is safe — the arena just loses that buffer's reuse. Index
 /// buffers (row maps of gathered forwards) pool the same way through
-/// `take_idx`/`put_idx`. The int8 layers also stage their activation
-/// codes and accumulators here, so both precisions' forwards take the
-/// same arguments.
+/// `take_idx`/`put_idx`.
 #[derive(Debug, Default)]
 pub struct InferenceScratch {
     free: Vec<Vec<f32>>,
     free_idx: Vec<Vec<u32>>,
-    pub(crate) quant: QuantScratch,
 }
 
 impl InferenceScratch {

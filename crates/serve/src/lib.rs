@@ -44,6 +44,6 @@ pub mod server;
 
 pub use bench::{run_bench, run_drift_bench, BenchConfig, BenchReport, DriftReport};
 pub use error::ServeError;
-pub use lru::{quantized_fingerprint, realloc_fingerprint, request_fingerprint, LruCache};
+pub use lru::{realloc_fingerprint, request_fingerprint, LruCache};
 pub use router::shard_of;
-pub use server::{ConfigError, Precision, ServeConfig, ServeConfigBuilder, ServeReport, Server};
+pub use server::{ConfigError, ServeConfig, ServeConfigBuilder, ServeReport, Server};

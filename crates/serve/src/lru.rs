@@ -90,19 +90,6 @@ pub fn realloc_fingerprint(
     h
 }
 
-/// Extend a request or realloc fingerprint with the int8-precision tag.
-/// Quantized placements are deterministic but not bitwise equal to f32
-/// ones, so an int8 cache entry must never answer an f32 request (or
-/// vice versa): the tag separates the key spaces the same way the
-/// `REALLOC\0` tag separates reallocs from plain allocs. The f32 path
-/// applies no tag, so pre-existing f32 fingerprints are byte-for-byte
-/// unchanged.
-pub fn quantized_fingerprint(fingerprint: u64) -> u64 {
-    let mut h = fingerprint;
-    h ^= u64::from_be_bytes(*b"INT8\0\0\0\0");
-    h.wrapping_mul(0x100000001b3)
-}
-
 /// Bounded least-recently-used cache with hit/miss accounting.
 ///
 /// Recency is a strictly increasing stamp per access; the map from
@@ -282,25 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_fingerprint_never_collides_with_f32_key_space() {
-        let g = {
-            let mut b = StreamGraphBuilder::new();
-            let a = b.add_node(Operator::new(100.0));
-            let c = b.add_node(Operator::new(200.0));
-            b.add_edge(a, c, Channel::new(8.0)).unwrap();
-            b.finish().unwrap()
-        };
-        let f = request_fingerprint(&g, 4, 1e4);
-        let q = quantized_fingerprint(f);
-        assert_ne!(q, f, "int8 entries must never answer f32 requests");
-        assert_eq!(q, quantized_fingerprint(f), "deterministic");
-        let r = realloc_fingerprint(&g, &[0, 1], &GraphDelta::default(), 4, 1e4);
-        assert_ne!(quantized_fingerprint(r), r);
-        assert_ne!(quantized_fingerprint(r), q, "realloc/alloc stay separated");
-    }
-
-    #[test]
-    fn per_precision_fingerprints_are_pinned() {
+    fn request_fingerprint_bytes_are_pinned() {
         // Pinned bytes: the cache key algorithm is part of the serve
         // protocol's determinism contract, so a change that silently
         // re-keys (and cold-starts) every deployed cache must fail here.
@@ -313,10 +282,5 @@ mod tests {
         };
         let f = request_fingerprint(&g, 4, 1e4);
         assert_eq!(f, 0x3722c916c01aa983, "f32 key bytes changed");
-        assert_eq!(
-            quantized_fingerprint(f),
-            0xed3899706d4e0999,
-            "int8 key bytes changed"
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! One shared-nothing serving replica: model copy, batcher, LRU shard.
 //!
-//! A replica owns everything its shard needs — a model materialized at
-//! the configured precision from the (cloneable, `Send`) checkpoint, the
+//! A replica owns everything its shard needs — a model materialized
+//! from the (cloneable, `Send`) checkpoint, the
 //! reusable [`InferenceScratch`] arena, and an LRU shard — so replicas
 //! never share mutable state and never lock.
 //! The router consistent-hashes by content fingerprint, which means a
@@ -24,14 +24,12 @@
 use crate::error::ServeError;
 use crate::lru::LruCache;
 use crate::reactor::Waker;
-use crate::server::{Precision, ServeConfig, ServeReport};
+use crate::server::{ServeConfig, ServeReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg_core::checkpoint::Checkpoint;
 use spg_core::policy::{priority_by_prob, CoarseningPolicy, DecodeMode};
-use spg_core::{
-    rollout, CoarsePlacer, CoarsenModel, InferenceScratch, MetisCoarsePlacer, QuantizedModel,
-};
+use spg_core::{rollout, CoarsePlacer, CoarsenModel, InferenceScratch, MetisCoarsePlacer};
 use spg_graph::wire::AllocResponse;
 use spg_graph::{
     ClusterSpec, DeltaError, GraphDelta, GraphFeatures, Placement, StreamGraph, TupleRates,
@@ -95,29 +93,6 @@ pub(crate) struct Job {
 /// one-response-per-request invariant survives the panic. Single
 /// thread, two scopes (loop and supervisor), hence `RefCell` not a lock.
 pub(crate) type FlightTable = RefCell<HashMap<u64, (u64, String)>>;
-
-/// The model one replica incarnation serves, at the configured precision.
-// One per incarnation and never moved on the request path.
-#[allow(clippy::large_enum_variant)]
-enum ServedModel {
-    F32(CoarsenModel),
-    Int8(QuantizedModel),
-}
-
-impl ServedModel {
-    /// Collapse probabilities for one graph at the configured precision.
-    fn predict(
-        &self,
-        graph: &StreamGraph,
-        feats: &GraphFeatures,
-        scratch: &mut InferenceScratch,
-    ) -> Vec<f32> {
-        match self {
-            Self::F32(m) => m.infer_probs(graph, feats, scratch),
-            Self::Int8(m) => m.infer_probs(graph, feats, scratch),
-        }
-    }
-}
 
 /// A finished response line, heading back to the I/O loop.
 pub(crate) struct Completion {
@@ -233,12 +208,6 @@ fn replica_loop(
 ) {
     let model = checkpoint.into_model();
     let policy = CoarseningPolicy::from_config(&model.config);
-    // Quantized once per incarnation: scale selection never runs per
-    // request.
-    let model = match cfg.precision {
-        Precision::F32 => ServedModel::F32(model),
-        Precision::Int8 => ServedModel::Int8(model.quantize()),
-    };
     let placer = MetisCoarsePlacer::new(cfg.seed);
     let mut cache: LruCache<(Vec<u32>, f64)> = LruCache::new(cfg.cache_capacity);
     let mut scratch = InferenceScratch::new();
@@ -434,7 +403,6 @@ fn replica_loop(
                             devices,
                             source_rate,
                             base_cluster,
-                            cfg.precision,
                             &model,
                             &policy,
                             &placer,
@@ -522,7 +490,7 @@ fn replica_loop(
                         };
                         let rates = TupleRates::compute(&job.graph, job.source_rate);
                         let feats = GraphFeatures::extract_with_rates(&job.graph, &cluster, &rates);
-                        let probs = model.predict(&job.graph, &feats, &mut scratch);
+                        let probs = model.infer_probs(&job.graph, &feats, &mut scratch);
                         (rates, cluster, probs)
                     })
                     .collect()
@@ -595,23 +563,22 @@ fn replica_loop(
 
 /// The full pipeline for one graph — the above-threshold realloc
 /// fallback. Keyed and RNG-seeded by the *mutated* graph's own request
-/// fingerprint — precision-tagged exactly like the router keys — so the
-/// result is bit-identical to what a plain alloc of that graph would
-/// return on the same server.
+/// fingerprint, exactly like the router keys, so the result is
+/// bit-identical to what a plain alloc of that graph would return on the
+/// same server.
 #[allow(clippy::too_many_arguments)]
 fn solo_alloc(
     graph: &StreamGraph,
     devices: usize,
     source_rate: f64,
     base_cluster: ClusterSpec,
-    precision: Precision,
-    model: &ServedModel,
+    model: &CoarsenModel,
     policy: &CoarseningPolicy,
     placer: &MetisCoarsePlacer,
     scratch: &mut InferenceScratch,
     report: &mut ServeReport,
 ) -> (Vec<u32>, f64) {
-    let key = precision.key(crate::lru::request_fingerprint(graph, devices, source_rate));
+    let key = crate::lru::request_fingerprint(graph, devices, source_rate);
     let cluster = ClusterSpec {
         devices,
         ..base_cluster
@@ -619,7 +586,7 @@ fn solo_alloc(
     let encode_start = Instant::now();
     let rates = TupleRates::compute(graph, source_rate);
     let feats = GraphFeatures::extract_with_rates(graph, &cluster, &rates);
-    let probs = model.predict(graph, &feats, scratch);
+    let probs = model.infer_probs(graph, &feats, scratch);
     report.encode_ns += encode_start.elapsed().as_nanos() as u64;
 
     let rollout_start = Instant::now();

@@ -200,8 +200,7 @@ impl Router<'_> {
         let rate = rate.unwrap_or(self.source_rate);
         // Reallocs fingerprint over (prior, placement, delta) in a key
         // space disjoint from plain allocs, so a repeat delta replays
-        // from the same warm LRU shard; int8 keys get a space of their
-        // own the same way.
+        // from the same warm LRU shard.
         let fingerprint = match &kind {
             JobKind::Alloc => request_fingerprint(&graph, devices, rate),
             JobKind::Realloc {
@@ -209,7 +208,6 @@ impl Router<'_> {
                 delta,
             } => realloc_fingerprint(&graph, prior_placement, delta, devices, rate),
         };
-        let fingerprint = self.cfg.precision.key(fingerprint);
         let shard = shard_of(fingerprint, self.job_txs.len() as u32);
         // Past the watermark the shard is already behind: mark the job
         // cache-only so the replica answers from its LRU or sheds,

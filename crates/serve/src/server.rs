@@ -30,7 +30,6 @@
 //! [`Server::run`] joins the replicas into one aggregated
 //! [`ServeReport`] with the per-shard breakdown attached.
 
-use crate::lru::quantized_fingerprint;
 use crate::reactor::WakePipe;
 use crate::replica::{supervise_shard, Completion, Job};
 use crate::router::io_loop;
@@ -42,56 +41,6 @@ use spg_sim::inject::FaultInjector;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc;
-
-/// Numeric precision of the inference path serving allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full f32 inference — bitwise identical to the training forward
-    /// (the default).
-    #[default]
-    F32,
-    /// Opt-in int8 quantized inference: per-row symmetric weights,
-    /// integer-accumulated matmuls, dequantized at layer boundaries.
-    /// Deterministic across replicas and SIMD tiers, but placements may
-    /// differ from f32 within the agreement bounds pinned by
-    /// `tests/quantized_agreement.rs`. Cache keys carry the precision so
-    /// int8 entries can never answer an f32 request.
-    Int8,
-}
-
-impl Precision {
-    /// A request or realloc fingerprint in this precision's key space:
-    /// int8 keys carry the [`quantized_fingerprint`] tag, so int8 cache
-    /// entries (and rollout seeds) can never answer an f32 request; f32
-    /// keys are untouched.
-    pub fn key(self, fingerprint: u64) -> u64 {
-        match self {
-            Precision::F32 => fingerprint,
-            Precision::Int8 => quantized_fingerprint(fingerprint),
-        }
-    }
-}
-
-impl fmt::Display for Precision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Precision::F32 => write!(f, "f32"),
-            Precision::Int8 => write!(f, "int8"),
-        }
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f32" => Ok(Precision::F32),
-            "int8" => Ok(Precision::Int8),
-            other => Err(format!("unknown precision `{other}` (expected f32|int8)")),
-        }
-    }
-}
 
 /// Tuning of one [`Server`]. Construct via [`ServeConfig::builder`] (or
 /// start from [`ServeConfig::default`] and reconfigure through the
@@ -129,9 +78,6 @@ pub struct ServeConfig {
     /// still answer, misses shed as `overloaded` without an encode.
     /// 0 disables the policy.
     pub shed_watermark: usize,
-    /// Inference precision; [`Precision::Int8`] is opt-in and folds a
-    /// precision tag into every cache fingerprint.
-    pub precision: Precision,
     /// Faults to inject into this server's replicas and connection
     /// writes (see [`spg_sim::inject`]); empty by default.
     pub faults: FaultInjector,
@@ -149,7 +95,6 @@ impl Default for ServeConfig {
             workers: rollout::default_workers(),
             seed: 7,
             shed_watermark: 0,
-            precision: Precision::F32,
             faults: FaultInjector::default(),
         }
     }
@@ -255,13 +200,6 @@ impl ServeConfigBuilder {
     /// `overloaded` (0 disables).
     pub fn shed_watermark(mut self, shed_watermark: usize) -> Self {
         self.cfg.shed_watermark = shed_watermark;
-        self
-    }
-
-    /// Inference precision ([`Precision::F32`] by default; int8 is
-    /// opt-in).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.cfg.precision = precision;
         self
     }
 
@@ -479,8 +417,6 @@ mod tests {
         assert_eq!(built.seed, default.seed);
         assert_eq!(built.shed_watermark, default.shed_watermark);
         assert_eq!(built.shed_watermark, 0, "shedding must default off");
-        assert_eq!(built.precision, default.precision);
-        assert_eq!(built.precision, Precision::F32, "int8 must be opt-in");
         assert!(built.faults.is_empty() && default.faults.is_empty());
     }
 
@@ -496,7 +432,6 @@ mod tests {
             .workers(2)
             .seed(42)
             .shed_watermark(32)
-            .precision(Precision::Int8)
             .faults(FaultInjector::new(0).at(Site::ConnWrite, ANY_KEY, Fault::ConnDrop))
             .build()
             .unwrap();
@@ -509,17 +444,7 @@ mod tests {
         assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.shed_watermark, 32);
-        assert_eq!(cfg.precision, Precision::Int8);
         assert_eq!(cfg.faults.decide(Site::ConnWrite, 3), Some(Fault::ConnDrop));
-    }
-
-    #[test]
-    fn precision_parses_and_displays() {
-        assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
-        assert_eq!("int8".parse::<Precision>().unwrap(), Precision::Int8);
-        assert!("fp16".parse::<Precision>().is_err());
-        assert_eq!(Precision::F32.to_string(), "f32");
-        assert_eq!(Precision::Int8.to_string(), "int8");
     }
 
     #[test]

@@ -122,14 +122,12 @@ start_server() {
 # file so one server's drained telemetry never pollutes another's
 # encode/rollout time split.
 serve_smoke() {
-    local replicas=$1 connections=$2 precision=${3:-f32}
-    local metrics="$SMOKE_DIR/serve_metrics_${precision}_r${replicas}.jsonl"
-    start_server --replicas "$replicas" --precision "$precision" \
-        --metrics "$metrics"
+    local replicas=$1 connections=$2
+    local metrics="$SMOKE_DIR/serve_metrics_r${replicas}.jsonl"
+    start_server --replicas "$replicas" --metrics "$metrics"
     "$SPG" bench-serve --addr "$ADDR" --replicas "$replicas" \
         --connections "$connections" --requests 64 \
         --graphs 8 --rate 200 --seed 0 --shutdown \
-        --precision "$precision" \
         --serve-metrics "$metrics" \
         --out "$SMOKE_DIR/bench_serve.json"
     wait "$SERVE_PID"   # clean drain must exit 0
@@ -137,13 +135,6 @@ serve_smoke() {
 serve_smoke 1 4
 serve_smoke 2 2,4
 echo "serve smoke OK"
-
-# Quantized serving: an int8 serve → bench → drain smoke writing the
-# `q8` row the perf gate compares (the placement-agreement harness ran
-# with the workspace tests above). int8 is opt-in: everything above
-# ran the default f32 path.
-serve_smoke 1 4 int8
-echo "int8 serve smoke OK"
 
 # Realloc smoke: a fresh server, the `spg realloc` demo client (alloc ->
 # drift -> warm realloc), then the drift bench, which replays an empty

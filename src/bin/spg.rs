@@ -315,7 +315,6 @@ fn serve(args: ServeArgs) -> ExitCode {
         .request_timeout_ms(args.timeout_ms)
         .cache_capacity(args.cache)
         .shed_watermark(args.shed_watermark)
-        .precision(args.precision)
         .seed(args.seed)
         .faults(serve_faults(&args));
     if let Some(workers) = args.workers {
@@ -677,12 +676,7 @@ fn bench_serve(args: BenchServeArgs) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        // An int8 sweep is one gated row (`q8`), comparable against the
-        // f32 `r<replicas>c<conns>` rows it shares the file with.
-        let key = match args.precision {
-            spg::serve::Precision::Int8 => "q8".to_string(),
-            spg::serve::Precision::F32 => format!("r{}c{}", args.replicas, connections),
-        };
+        let key = format!("r{}c{}", args.replicas, connections);
         println!(
             "{key}: {}/{} ok ({} cached, {} errors) in {:.2}s — {:.1} req/s \
              sustained, latency p50 {:.1} ms / p99 {:.1} ms",
@@ -726,9 +720,6 @@ fn bench_serve(args: BenchServeArgs) -> ExitCode {
 fn bench_matmul(args: BenchMatmulArgs) -> ExitCode {
     use spg::nn::Matrix;
     let (n, k, m) = (args.n, args.k, args.m);
-    if args.precision == spg::serve::Precision::Int8 {
-        return bench_matmul_int8(&args);
-    }
     // The train-epoch bench's deterministic fill, generalised to ragged
     // shapes: small signed values so products stay well-conditioned.
     let a = Matrix::from_vec(
@@ -755,49 +746,6 @@ fn bench_matmul(args: BenchMatmulArgs) -> ExitCode {
     let gflops = 2.0 * (n as f64) * (k as f64) * (m as f64) / ns_per_iter;
     println!(
         "matmul {n}x{k}x{m} (f32): {ns_per_iter:.0} ns/iter, {gflops:.2} GFLOP/s \
-         over {} iters",
-        args.iters
-    );
-    ExitCode::SUCCESS
-}
-
-/// Time the integer-accumulated i8×i8→i32 kernel behind the quantized
-/// serving path. The f32 operands are the same deterministic fills as
-/// the f32 bench, quantized per-row exactly as inference does, so
-/// the shapes and value distributions match across the precision rows.
-fn bench_matmul_int8(args: &BenchMatmulArgs) -> ExitCode {
-    use spg::nn::quant::{gemm_i8, padded_width, quantize_rows_i8_padded};
-    let (n, k, m) = (args.n, args.k, args.m);
-    let a: Vec<f32> = (0..n * k).map(|i| ((i % 17) as f32 - 8.0) * 0.1).collect();
-    let b: Vec<f32> = (0..k * m).map(|i| ((i % 13) as f32 - 6.0) * 0.1).collect();
-    // gemm_i8 wants the right operand pre-transposed to [m×k], the
-    // layout quantized weights are stored in. Rows are zero-padded to
-    // the SIMD step, exactly as the quantized layers run (zero codes
-    // add zero products, so the sums are unchanged).
-    let mut bt = vec![0.0f32; k * m];
-    for r in 0..k {
-        for c in 0..m {
-            bt[c * k + r] = b[r * m + c];
-        }
-    }
-    let kp = padded_width(k);
-    let (mut a_q, mut a_scale) = (Vec::new(), Vec::new());
-    let (mut bt_q, mut bt_scale) = (Vec::new(), Vec::new());
-    quantize_rows_i8_padded(&a, n, k, kp, &mut a_q, &mut a_scale);
-    quantize_rows_i8_padded(&bt, m, k, kp, &mut bt_q, &mut bt_scale);
-    let mut out = vec![0i32; n * m];
-    for _ in 0..3 {
-        gemm_i8(&a_q, &bt_q, &mut out, n, kp, m);
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..args.iters {
-        gemm_i8(&a_q, &bt_q, &mut out, n, kp, m);
-        std::hint::black_box(&out);
-    }
-    let ns_per_iter = start.elapsed().as_nanos() as f64 / args.iters as f64;
-    let gflops = 2.0 * (n as f64) * (k as f64) * (m as f64) / ns_per_iter;
-    println!(
-        "matmul {n}x{k}x{m} (int8): {ns_per_iter:.0} ns/iter, {gflops:.2} GFLOP/s \
          over {} iters",
         args.iters
     );

@@ -8,7 +8,6 @@
 
 use spg_core::FaultPolicy;
 use spg_gen::{DriftKind, Setting};
-use spg_serve::Precision;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -137,9 +136,6 @@ pub struct ServeArgs {
     pub seed: u64,
     /// Telemetry JSONL output path (`None` = telemetry disabled).
     pub metrics: Option<PathBuf>,
-    /// Inference precision (`f32` default; `int8` is the opt-in
-    /// quantized path).
-    pub precision: Precision,
     /// Queue depth at which a replica stops admitting cache misses and
     /// sheds them `overloaded` (0 disables the watermark).
     pub shed_watermark: usize,
@@ -197,9 +193,6 @@ pub struct BenchServeArgs {
     /// after shutdown the report extracts the encode/rollout time split
     /// from it.
     pub serve_metrics: Option<PathBuf>,
-    /// Precision of the server under test; `int8` keys the merged sweep
-    /// row `q8` instead of `r<replicas>c<conns>`.
-    pub precision: Precision,
     /// Chaos audit: assert every request gets exactly one response or
     /// named error (no hangs) against a fault-injecting server; the
     /// report row is keyed `chaos`.
@@ -215,9 +208,6 @@ pub struct BenchMatmulArgs {
     pub m: usize,
     /// Timed iterations.
     pub iters: usize,
-    /// Kernel precision: `f32` times the float matmul, `int8` the
-    /// integer-accumulated quantized kernel.
-    pub precision: Precision,
 }
 
 /// Why parsing stopped without producing a [`Command`].
@@ -252,7 +242,7 @@ pub fn general_help() -> String {
      \x20 serve      run the long-lived allocation service (JSONL over TCP)\n\
      \x20 realloc    demo client for incremental re-allocation under drift\n\
      \x20 bench-serve  open-loop load generator against a running `spg serve`\n\
-     \x20 bench-matmul matmul kernel microbenchmark (f32 or int8)\n\
+     \x20 bench-matmul f32 matmul kernel microbenchmark\n\
      \n\
      run `spg <command> --help` for command options"
         .to_string()
@@ -367,9 +357,6 @@ pub fn command_help(cmd: &str) -> String {
              \x20 --workers N     rollout worker threads (default: auto)\n\
              \x20 --seed S        placement seed (default 7)\n\
              \x20 --metrics FILE  write telemetry events (JSONL) to FILE\n\
-             \x20 --precision P   f32 | int8 (default f32); int8 serves the\n\
-             \x20                 quantized inference path — deterministic, but\n\
-             \x20                 cache-isolated from f32 placements\n\
              \x20 --shed-watermark N\n\
              \x20                 queue depth past which replicas serve only\n\
              \x20                 cache hits and shed the rest `overloaded`\n\
@@ -434,22 +421,17 @@ pub fn command_help(cmd: &str) -> String {
              \x20 --serve-metrics FILE\n\
              \x20                  telemetry JSONL written by `spg serve --metrics FILE`;\n\
              \x20                  after shutdown, fold the server's encode/rollout\n\
-             \x20                  time split into the report\n\
-             \x20 --precision P    f32 | int8 (default f32): precision of the server\n\
-             \x20                  under test; int8 keys the merged row `q8`"
+             \x20                  time split into the report"
             .to_string(),
         "bench-matmul" => "usage: spg bench-matmul [options]\n\
              \n\
-             Time a matmul kernel at a given shape and print ns/iter and\n\
-             GFLOP/s. The f32 kernel (bitwise-deterministic) by default;\n\
-             --precision int8 times the integer-accumulated quantized kernel.\n\
+             Time the f32 matmul kernel (bitwise-deterministic) at a given\n\
+             shape and print ns/iter and GFLOP/s.\n\
              \n\
              options:\n\
              \x20 --shape NxKxM  problem shape [n x k]·[k x m]; `NxK` means\n\
              \x20                NxKxN, a bare `N` means NxNxN (default 128)\n\
-             \x20 --iters N      timed iterations (default 50)\n\
-             \x20 --precision P  f32 | int8 (default f32); int8 times the\n\
-             \x20                i8×i8→i32 kernel behind `spg serve --precision int8`"
+             \x20 --iters N      timed iterations (default 50)"
             .to_string(),
         other => panic!("no help for unknown command `{other}`"),
     }
@@ -703,7 +685,6 @@ impl Command {
         let mut replicas = 1usize;
         let (mut max_batch, mut queue, mut cache) = (8usize, 64usize, 256usize);
         let (mut timeout_ms, mut seed) = (5000u64, 7u64);
-        let mut precision = Precision::F32;
         let mut shed_watermark = 0usize;
         let (mut inject_replica_panics, mut inject_replica_kills) = (0.0f64, 0.0f64);
         let (mut inject_replica_stalls, mut inject_conn_drops) = (0.0f64, 0.0f64);
@@ -735,9 +716,6 @@ impl Command {
                 "--workers" => workers = Some(parse_num("serve", "workers", a.value("workers")?)?),
                 "--seed" => seed = parse_num("serve", "seed", a.value("seed")?)?,
                 "--metrics" => metrics = Some(PathBuf::from(a.value("metrics")?)),
-                "--precision" => {
-                    precision = parse_num("serve", "precision", a.value("precision")?)?
-                }
                 "--shed-watermark" => {
                     shed_watermark =
                         parse_num("serve", "shed-watermark", a.value("shed-watermark")?)?
@@ -772,7 +750,6 @@ impl Command {
             workers,
             seed,
             metrics,
-            precision,
             shed_watermark,
             inject_replica_panics,
             inject_replica_kills,
@@ -822,7 +799,6 @@ impl Command {
         let (mut drift, mut chaos) = (false, false);
         let mut out = PathBuf::from("BENCH_serve.json");
         let mut serve_metrics = None;
-        let mut precision = Precision::F32;
         while let Some(arg) = a.rest.next() {
             match arg.as_str() {
                 "--help" | "-h" => return Err(CliError::Help(command_help("bench-serve"))),
@@ -870,9 +846,6 @@ impl Command {
                 "--chaos" => chaos = true,
                 "--out" => out = PathBuf::from(a.value("out")?),
                 "--serve-metrics" => serve_metrics = Some(PathBuf::from(a.value("serve-metrics")?)),
-                "--precision" => {
-                    precision = parse_num("bench-serve", "precision", a.value("precision")?)?
-                }
                 other => return Err(a.unknown(other)),
             }
         }
@@ -894,7 +867,6 @@ impl Command {
             drift,
             out,
             serve_metrics,
-            precision,
             chaos,
         }))
     }
@@ -903,7 +875,6 @@ impl Command {
         let mut a = Args::new("bench-matmul", rest);
         let (mut n, mut k, mut m) = (128usize, 128usize, 128usize);
         let mut iters = 50usize;
-        let mut precision = Precision::F32;
         while let Some(arg) = a.rest.next() {
             match arg.as_str() {
                 "--help" | "-h" => return Err(CliError::Help(command_help("bench-matmul"))),
@@ -941,19 +912,10 @@ impl Command {
                         ));
                     }
                 }
-                "--precision" => {
-                    precision = parse_num("bench-matmul", "precision", a.value("precision")?)?
-                }
                 other => return Err(a.unknown(other)),
             }
         }
-        Ok(Command::BenchMatmul(BenchMatmulArgs {
-            n,
-            k,
-            m,
-            iters,
-            precision,
-        }))
+        Ok(Command::BenchMatmul(BenchMatmulArgs { n, k, m, iters }))
     }
 }
 
@@ -1162,7 +1124,6 @@ mod tests {
         assert_eq!((s.max_batch, s.queue, s.cache), (8, 64, 256));
         assert_eq!((s.timeout_ms, s.seed), (5000, 7));
         assert_eq!((s.workers, s.metrics), (None, None));
-        assert_eq!(s.precision, Precision::F32, "int8 must be opt-in");
         assert_eq!(s.shed_watermark, 0);
         assert_eq!(
             (
@@ -1177,8 +1138,7 @@ mod tests {
 
         let Command::Serve(s) = parse(
             "serve --model m --addr 0.0.0.0:9000 --setting large --replicas 2 --max-batch 4 \
-             --queue 16 --timeout-ms 250 --cache 0 --workers 2 --seed 5 --metrics t.jsonl \
-             --precision int8",
+             --queue 16 --timeout-ms 250 --cache 0 --workers 2 --seed 5 --metrics t.jsonl",
         )
         .unwrap() else {
             panic!()
@@ -1190,7 +1150,6 @@ mod tests {
         assert_eq!((s.timeout_ms, s.seed), (250, 5));
         assert_eq!(s.workers, Some(2));
         assert_eq!(s.metrics, Some(PathBuf::from("t.jsonl")));
-        assert_eq!(s.precision, Precision::Int8);
 
         let Err(CliError::Usage(msg)) = parse("serve") else {
             panic!()
@@ -1200,10 +1159,10 @@ mod tests {
             panic!()
         };
         assert!(msg.contains("--replicas"), "{msg}");
-        let Err(CliError::Usage(msg)) = parse("serve --model m --precision fp16") else {
+        let Err(CliError::Usage(msg)) = parse("serve --model m --precision f32") else {
             panic!()
         };
-        assert!(msg.contains("`fp16`") && msg.contains("int8"), "{msg}");
+        assert!(msg.contains("unknown argument `--precision`"), "{msg}");
     }
 
     #[test]
@@ -1217,13 +1176,11 @@ mod tests {
         assert_eq!((b.requests, b.graphs), (64, 8));
         assert_eq!((b.seed, b.rate, b.shutdown), (0, 200.0, false));
         assert!(!b.drift);
-        assert_eq!(b.precision, Precision::F32);
         assert_eq!(b.out, PathBuf::from("BENCH_serve.json"));
 
         let Command::BenchServe(b) = parse(
             "bench-serve --addr h:1 --connections 2 --replicas 2 --requests 10 --graphs 3 \
-             --seed 9 --rate 50 --shutdown --out r.json --serve-metrics m.jsonl \
-             --precision int8",
+             --seed 9 --rate 50 --shutdown --out r.json --serve-metrics m.jsonl",
         )
         .unwrap() else {
             panic!()
@@ -1234,7 +1191,6 @@ mod tests {
         assert_eq!((b.seed, b.rate, b.shutdown), (9, 50.0, true));
         assert_eq!(b.out, PathBuf::from("r.json"));
         assert_eq!(b.serve_metrics, Some(PathBuf::from("m.jsonl")));
-        assert_eq!(b.precision, Precision::Int8);
 
         let Err(CliError::Usage(msg)) = parse("bench-serve --addr h:1 --rate -3") else {
             panic!()
@@ -1367,14 +1323,6 @@ mod tests {
         };
         assert_eq!((b.n, b.k, b.m), (320, 28, 24));
         assert_eq!(b.iters, 7);
-        assert_eq!(b.precision, Precision::F32);
-
-        let Command::BenchMatmul(b) = parse("bench-matmul --precision int8 --shape 64").unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(b.precision, Precision::Int8);
-        assert_eq!((b.n, b.k, b.m), (64, 64, 64));
 
         for bad in [
             "bench-matmul --shape 0x3x3",
@@ -1382,7 +1330,7 @@ mod tests {
             "bench-matmul --shape axb",
             "bench-matmul --iters 0",
             "bench-matmul --fast",
-            "bench-matmul --precision fp16",
+            "bench-matmul --precision f32",
         ] {
             assert!(
                 matches!(parse(bad), Err(CliError::Usage(_))),

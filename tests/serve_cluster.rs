@@ -11,7 +11,7 @@ use spg::model::checkpoint::Checkpoint;
 use spg::model::pipeline::MetisCoarsePlacer;
 use spg::model::{CoarsenConfig, CoarsenModel, ReinforceTrainer, TrainOptions};
 use spg::obs::TelemetrySink;
-use spg::serve::{request_fingerprint, shard_of, Precision, ServeConfig, ServeReport, Server};
+use spg::serve::{request_fingerprint, shard_of, ServeConfig, ServeReport, Server};
 use spg::sim::inject;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -242,75 +242,6 @@ fn f32_transcript_bytes_are_pinned() {
 }
 
 #[test]
-fn int8_serving_is_deterministic_across_replica_counts() {
-    // The quantized twin of the transcript pin above: int8 placements
-    // may differ from f32 (within the bounds pinned by
-    // tests/quantized_agreement.rs) but must be bitwise identical across
-    // 1-, 2-, and 4-replica servers, with repeats answered from the
-    // precision-tagged cache. The f32 run at the end double-checks that
-    // adding the int8 path did not perturb f32 response bytes: two f32
-    // servers over the same corpus still agree bit-for-bit.
-    let ck = quick_checkpoint(23);
-    let spec = DatasetSpec::scaled_down(Setting::Small);
-    let graphs: Vec<_> = (0..4u64)
-        .map(|s| spg::gen::generate_graph(&spec, 500 + s))
-        .collect();
-    let corpus: Vec<(String, &StreamGraph)> = (0..graphs.len())
-        .map(|i| (format!("q{i}"), &graphs[i]))
-        .chain((0..2).map(|i| (format!("rep{i}"), &graphs[i])))
-        .collect();
-
-    let run = |precision: Precision, replicas: usize| -> Vec<String> {
-        let cfg = ServeConfig::builder()
-            .replicas(replicas)
-            .precision(precision)
-            .build()
-            .unwrap();
-        let (addr, handle) = spawn_server(cfg, ck.clone());
-        let mut client = Client::connect(&addr);
-        let mut lines = Vec::new();
-        for (id, g) in &corpus {
-            client.send_line(&alloc_request(id, g).to_line());
-            lines.push(client.read_raw_line());
-        }
-        client.shutdown();
-        let report = handle.join().expect("server thread");
-        assert_eq!(report.responses, corpus.len() as u64);
-        assert_eq!(report.errors, 0, "{precision} x{replicas} errored");
-        lines
-    };
-
-    let int8: Vec<Vec<String>> = [1usize, 2, 4]
-        .iter()
-        .map(|&r| run(Precision::Int8, r))
-        .collect();
-    assert_eq!(
-        int8[0], int8[1],
-        "int8, 1 vs 2 replicas: responses must be bitwise identical"
-    );
-    assert_eq!(
-        int8[0], int8[2],
-        "int8, 1 vs 4 replicas: responses must be bitwise identical"
-    );
-    for rep in int8[0].iter().rev().take(2) {
-        assert!(
-            rep.contains("\"cached\":true"),
-            "int8 repeat missed the precision-tagged cache: {rep}"
-        );
-    }
-
-    let f32_a = run(Precision::F32, 1);
-    let f32_b = run(Precision::F32, 2);
-    assert_eq!(f32_a, f32_b, "f32 transcripts must stay bitwise identical");
-    for (ok, line) in f32_a.iter().zip(&int8[0]) {
-        // Both precisions answer every request successfully; the
-        // placements themselves may legitimately differ.
-        assert!(ok.contains("\"placement\""), "f32 response malformed");
-        assert!(line.contains("\"placement\""), "int8 response malformed");
-    }
-}
-
-#[test]
 fn wire_v2_reports_the_stable_shard_assignment() {
     let ck = quick_checkpoint(22);
     let spec = DatasetSpec::scaled_down(Setting::Small);
@@ -497,7 +428,7 @@ fn a_multi_request_batch_answers_each_request_as_a_solo_server_would() {
     // the rest queue behind it, so the next dequeue takes up to
     // max_batch jobs at once. Every answer of those batches must be the
     // byte-identical line a max_batch(1) server gives the same request
-    // sent alone, at both precisions.
+    // sent alone.
     let ck = quick_checkpoint(29);
     let medium = DatasetSpec::scaled_down(Setting::Medium);
     let graphs: Vec<_> = (0..12u64)
@@ -509,77 +440,69 @@ fn a_multi_request_batch_answers_each_request_as_a_solo_server_would() {
     let fp0 = request_fingerprint(&graphs[0], small.cluster().devices, small.source_rate);
     let ids: Vec<String> = (0..graphs.len()).map(|i| format!("b{i}")).collect();
 
-    for precision in [Precision::F32, Precision::Int8] {
-        let solo: Vec<String> = {
-            let cfg = ServeConfig::builder()
-                .replicas(1)
-                .max_batch(1)
-                .precision(precision)
-                .build()
-                .unwrap();
-            let (addr, handle) = spawn_server(cfg, ck.clone());
-            let mut client = Client::connect(&addr);
-            let lines = ids
-                .iter()
-                .zip(&graphs)
-                .map(|(id, g)| {
-                    client.send_line(&alloc_request(id, g).to_line());
-                    client.read_raw_line()
-                })
-                .collect();
-            client.shutdown();
-            handle.join().expect("server thread");
-            lines
-        };
-
-        let plan = inject::FaultInjector::new(0).at(
-            inject::Site::ReplicaWork,
-            precision.key(fp0),
-            inject::Fault::Stall,
-        );
-        // The timeout is raised so the queue never expires behind the
-        // stall on a slow machine.
+    let solo: Vec<String> = {
         let cfg = ServeConfig::builder()
             .replicas(1)
-            .max_batch(8)
-            .request_timeout_ms(120_000)
-            .precision(precision)
-            .faults(plan)
+            .max_batch(1)
             .build()
             .unwrap();
         let (addr, handle) = spawn_server(cfg, ck.clone());
         let mut client = Client::connect(&addr);
-        for (id, g) in ids.iter().zip(&graphs) {
-            client.send_line(&alloc_request(id, g).to_line());
-        }
-        let mut by_id = std::collections::HashMap::new();
-        for _ in 0..graphs.len() {
-            let line = client.read_raw_line();
-            let WireResponse::Ok(a) = WireResponse::parse(line.trim()).expect("parse response")
-            else {
-                panic!("{precision}: batched request failed: {line}")
-            };
-            by_id.insert(a.id, line);
-        }
+        let lines = ids
+            .iter()
+            .zip(&graphs)
+            .map(|(id, g)| {
+                client.send_line(&alloc_request(id, g).to_line());
+                client.read_raw_line()
+            })
+            .collect();
         client.shutdown();
-        let report = handle.join().expect("server thread");
+        handle.join().expect("server thread");
+        lines
+    };
 
-        for (id, want) in ids.iter().zip(&solo) {
-            assert_eq!(
-                by_id.get(id),
-                Some(want),
-                "{precision}: {id} in a batch must match its solo answer byte for byte"
-            );
-        }
-        assert_eq!(report.responses, graphs.len() as u64);
-        assert_eq!(report.errors, 0);
-        assert!(
-            report.batches < graphs.len() as u64,
-            "{precision}: {} batches for {} requests, so no batch held two",
-            report.batches,
-            graphs.len()
+    let plan =
+        inject::FaultInjector::new(0).at(inject::Site::ReplicaWork, fp0, inject::Fault::Stall);
+    // The timeout is raised so the queue never expires behind the
+    // stall on a slow machine.
+    let cfg = ServeConfig::builder()
+        .replicas(1)
+        .max_batch(8)
+        .request_timeout_ms(120_000)
+        .faults(plan)
+        .build()
+        .unwrap();
+    let (addr, handle) = spawn_server(cfg, ck);
+    let mut client = Client::connect(&addr);
+    for (id, g) in ids.iter().zip(&graphs) {
+        client.send_line(&alloc_request(id, g).to_line());
+    }
+    let mut by_id = std::collections::HashMap::new();
+    for _ in 0..graphs.len() {
+        let line = client.read_raw_line();
+        let WireResponse::Ok(a) = WireResponse::parse(line.trim()).expect("parse response") else {
+            panic!("batched request failed: {line}")
+        };
+        by_id.insert(a.id, line);
+    }
+    client.shutdown();
+    let report = handle.join().expect("server thread");
+
+    for (id, want) in ids.iter().zip(&solo) {
+        assert_eq!(
+            by_id.get(id),
+            Some(want),
+            "{id} in a batch must match its solo answer byte for byte"
         );
     }
+    assert_eq!(report.responses, graphs.len() as u64);
+    assert_eq!(report.errors, 0);
+    assert!(
+        report.batches < graphs.len() as u64,
+        "{} batches for {} requests, so no batch held two",
+        report.batches,
+        graphs.len()
+    );
 }
 
 #[test]
