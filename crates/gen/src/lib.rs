@@ -13,7 +13,6 @@
 //! to cluster capacity (§V: "we set the total computing load for each graph
 //! in the data set to have the same distribution").
 
-pub mod catalog;
 pub mod drift;
 pub mod settings;
 pub mod templates;

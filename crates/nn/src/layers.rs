@@ -204,11 +204,6 @@ impl LstmCell {
         Self { wx, wh, b, hidden }
     }
 
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     /// Zero state `(h, c)` for a batch of `rows`.
     pub fn zero_state(&self, t: &mut Tape, rows: usize) -> (Var, Var) {
         let h = t.input(Matrix::zeros(rows, self.hidden));

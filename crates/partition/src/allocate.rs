@@ -24,14 +24,6 @@ impl MetisAllocator {
         }
     }
 
-    /// Allocator with explicit config.
-    pub fn with_config(seed: u64, config: PartitionConfig) -> Self {
-        Self {
-            config,
-            seed: SeedCell::new(seed),
-        }
-    }
-
     /// Partition a pre-built weighted graph into `k` parts.
     pub fn partition_weighted(&self, w: &WeightedGraph, k: usize) -> Vec<u32> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed.next());

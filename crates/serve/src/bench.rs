@@ -139,15 +139,6 @@ impl Serialize for BenchReport {
     }
 }
 
-impl BenchReport {
-    /// Pretty-printed JSON, the `BENCH_serve.json` format.
-    pub fn to_json(&self) -> String {
-        // Cannot fire: the struct is numbers, bools, and options of
-        // numbers — none of which have a failing Serialize impl.
-        serde_json::to_string_pretty(self).expect("report serialization is infallible")
-    }
-}
-
 struct Sample {
     graph_index: usize,
     latency_ms: f64,
@@ -468,14 +459,6 @@ impl Serialize for DriftReport {
             fields.push(("rollout_ms".into(), r.serialize()));
         }
         serde::Value::Object(fields)
-    }
-}
-
-impl DriftReport {
-    /// Pretty-printed JSON, the `BENCH_serve.json` row format.
-    pub fn to_json(&self) -> String {
-        // Cannot fire: the struct is all plain floats and integers.
-        serde_json::to_string_pretty(self).expect("report serialization is infallible")
     }
 }
 

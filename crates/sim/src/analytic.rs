@@ -80,22 +80,6 @@ impl SimResult {
         }
     }
 
-    /// Std-dev companion of [`Self::mean_used_cpu_utilisation`].
-    pub fn std_used_cpu_utilisation(&self, cluster: &ClusterSpec) -> f64 {
-        let cap = cluster.instr_per_sec();
-        let used: Vec<f64> = self
-            .cpu_load
-            .iter()
-            .filter(|&&l| l > 0.0)
-            .map(|&l| l * self.relative / cap)
-            .collect();
-        if used.len() < 2 {
-            return 0.0;
-        }
-        let mean = used.iter().sum::<f64>() / used.len() as f64;
-        (used.iter().map(|u| (u - mean).powi(2)).sum::<f64>() / used.len() as f64).sqrt()
-    }
-
     /// Average bandwidth utilisation (egress+ingress over 2·BW) of devices
     /// that exchanged any traffic, at the sustained rate.
     pub fn mean_used_bw_utilisation(&self, cluster: &ClusterSpec) -> f64 {

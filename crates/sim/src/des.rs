@@ -40,7 +40,6 @@
 //! bias. The loop is deterministic — pure function of graph, placement and
 //! config.
 
-use crate::analytic::Bottleneck;
 use spg_graph::{ClusterSpec, NodeId, Placement, StreamGraph};
 use std::collections::HashMap;
 
@@ -296,13 +295,6 @@ impl<'a> Sim<'a> {
 /// Measure in blocks until the accepted rate stops moving AND the
 /// buffered mass stops growing (see module docs), then report the last
 /// block only — it is the one closest to equilibrium.
-///
-/// Convergence state (`prev_rel`) starts fresh on every call. That
-/// freshness is load-bearing at a mid-stream re-allocation boundary: a
-/// previous phase's settled rate must never pre-satisfy the new phase's
-/// rate-settled criterion, or a phase whose first block happens to land
-/// near the old equilibrium would stop measuring while its buffers are
-/// still re-draining toward the *new* one.
 fn measure_blocks(sim: &mut Sim, sink_count: usize) -> (f64, f64, f64) {
     let cfg = sim.cfg;
     let window = cfg.measure_steps as f64 * cfg.dt;
@@ -364,94 +356,6 @@ pub fn simulate_des(
             .map(|&c| c as f64 / sim.executed_steps.max(1) as f64)
             .collect(),
     }
-}
-
-/// One phase of a drifting workload: the placement and source rate in
-/// effect from one re-allocation boundary to the next.
-#[derive(Debug, Clone)]
-pub struct DesPhase {
-    /// Placement in effect during the phase.
-    pub placement: Placement,
-    /// Offered source rate during the phase.
-    pub source_rate: f64,
-}
-
-/// Simulate a sequence of re-allocation phases over one live stream.
-///
-/// Edge buffers persist across phase boundaries — a re-allocation swaps
-/// the placement (and possibly the rate) *under* whatever tuple mass
-/// the previous phase left in flight, which is exactly the transient a
-/// drifting deployment pays. Everything that describes *measurement*,
-/// however, restarts per phase: an unmeasured warmup absorbs the
-/// switch-over transient, the adaptive converged-block window begins
-/// with fresh convergence state (see `measure_blocks`), and CPU
-/// saturation counters are zeroed so each [`DesResult`] describes its
-/// own phase only.
-///
-/// Returns one [`DesResult`] per phase, in order. Deterministic — a
-/// pure function of graph, phases, and config.
-pub fn simulate_des_phases(
-    graph: &StreamGraph,
-    cluster: &ClusterSpec,
-    phases: &[DesPhase],
-    cfg: &DesConfig,
-) -> Vec<DesResult> {
-    assert!(!phases.is_empty(), "at least one phase is required");
-    for (i, ph) in phases.iter().enumerate() {
-        assert!(
-            ph.placement.validate(graph, cluster.devices),
-            "phase {i} placement must cover the graph and respect the device count"
-        );
-    }
-    let sink_count = graph.sinks().len();
-    let mut sim = Sim::new(
-        graph,
-        cluster,
-        &phases[0].placement,
-        phases[0].source_rate,
-        cfg,
-    );
-    let mut results = Vec::with_capacity(phases.len());
-    for ph in phases {
-        sim.placement = &ph.placement;
-        sim.source_rate = ph.source_rate;
-        sim.cpu_saturated.fill(0);
-        sim.executed_steps = 0;
-        sim.run(cfg.warmup_steps, false);
-        let (throughput, relative, sink_rate) = measure_blocks(&mut sim, sink_count);
-        results.push(DesResult {
-            throughput,
-            relative,
-            sink_rate,
-            cpu_saturation: sim
-                .cpu_saturated
-                .iter()
-                .map(|&c| c as f64 / sim.executed_steps.max(1) as f64)
-                .collect(),
-        });
-    }
-    results
-}
-
-/// Convenience: classify the analytic bottleneck and check that the DES
-/// agrees with the analytic relative throughput within `tol`.
-pub fn cross_check(
-    graph: &StreamGraph,
-    cluster: &ClusterSpec,
-    placement: &Placement,
-    source_rate: f64,
-    cfg: &DesConfig,
-    tol: f64,
-) -> (f64, f64, Bottleneck) {
-    let a = crate::analytic::simulate(graph, cluster, placement, source_rate);
-    let d = simulate_des(graph, cluster, placement, source_rate, cfg);
-    assert!(
-        (a.relative - d.relative).abs() <= tol,
-        "analytic {} vs des {} differ by more than {tol}",
-        a.relative,
-        d.relative
-    );
-    (a.relative, d.relative, a.bottleneck)
 }
 
 #[cfg(test)]
@@ -521,73 +425,6 @@ mod tests {
             r.sink_rate,
             r.throughput
         );
-    }
-
-    #[test]
-    fn phase_results_track_fresh_runs() {
-        // Rate ramp across a re-allocation boundary: each phase must
-        // converge to (near) what a fresh single-phase run reports,
-        // even though buffers persist across the boundary.
-        let g = pipeline(2.5e5, 10.0);
-        let cluster = ClusterSpec::paper_medium(3);
-        let cfg = DesConfig::default();
-        let phases = vec![
-            DesPhase {
-                placement: Placement::new(vec![0, 1, 2]),
-                source_rate: 1e4,
-            },
-            DesPhase {
-                placement: Placement::new(vec![0, 1, 2]),
-                source_rate: 2e4,
-            },
-        ];
-        let rs = simulate_des_phases(&g, &cluster, &phases, &cfg);
-        assert_eq!(rs.len(), 2);
-        for (ph, r) in phases.iter().zip(&rs) {
-            let fresh = simulate_des(&g, &cluster, &ph.placement, ph.source_rate, &cfg);
-            assert!(
-                (r.relative - fresh.relative).abs() < 0.05,
-                "phase at rate {}: {} vs fresh {}",
-                ph.source_rate,
-                r.relative,
-                fresh.relative
-            );
-        }
-    }
-
-    #[test]
-    fn reallocation_boundary_resets_convergence_state() {
-        // Phase 1 settles at relative ≈ 1.0 (unconstrained); phase 2
-        // moves the whole pipeline onto one device where the worker is
-        // CPU-bound. If convergence state leaked across the boundary,
-        // phase 2 could stop at its first block while buffers are still
-        // filling and report a stale near-1.0 rate; with the reset it
-        // must land near its own fresh equilibrium.
-        let g = pipeline(2.5e5, 10.0);
-        let cluster = ClusterSpec::paper_medium(3);
-        let cfg = DesConfig::default();
-        let phases = vec![
-            DesPhase {
-                placement: Placement::new(vec![0, 1, 2]),
-                source_rate: 1e3,
-            },
-            DesPhase {
-                placement: Placement::all_on_one(3),
-                source_rate: 2e4,
-            },
-        ];
-        let rs = simulate_des_phases(&g, &cluster, &phases, &cfg);
-        let fresh = simulate_des(&g, &cluster, &phases[1].placement, 2e4, &cfg);
-        assert!((rs[0].relative - 1.0).abs() < 0.02, "{}", rs[0].relative);
-        assert!(
-            (rs[1].relative - fresh.relative).abs() < 0.05,
-            "post-boundary {} vs fresh {}",
-            rs[1].relative,
-            fresh.relative
-        );
-        // Per-phase saturation accounting: phase 2's device 0 hosts the
-        // CPU-bound worker; phase 1's does not.
-        assert!(rs[1].cpu_saturation[0] > rs[0].cpu_saturation[0]);
     }
 
     #[test]

@@ -22,12 +22,10 @@ pub mod analytic;
 pub mod des;
 pub mod hetero;
 pub mod inject;
-pub mod latency;
 pub mod metrics;
 pub mod reward;
 
 pub use analytic::{simulate, Bottleneck, SimResult};
-pub use des::{simulate_des_phases, DesConfig, DesPhase, DesResult};
+pub use des::{DesConfig, DesResult};
 pub use hetero::simulate_hetero;
-pub use latency::estimate_latency;
 pub use reward::relative_throughput;

@@ -398,12 +398,6 @@ impl StreamGraph {
         &self.topo_order
     }
 
-    /// Total instructions per "wave" of tuples: `Σ_v ipt_v` (topology-free
-    /// proxy for graph computational weight).
-    pub fn total_ipt(&self) -> f64 {
-        self.ops.iter().map(|o| o.ipt).sum()
-    }
-
     /// Mutable access to operator costs (used by the workload assigner when
     /// normalising total load — topology is immutable).
     pub fn ops_mut(&mut self) -> &mut [Operator] {

@@ -108,11 +108,6 @@ impl WeightedGraph {
         self.node_weight.iter().sum()
     }
 
-    /// Total edge weight.
-    pub fn total_edge_weight(&self) -> f64 {
-        self.edge_weight.iter().sum()
-    }
-
     /// Weight of the cut induced by `part` (sum of weights of edges whose
     /// endpoints have different labels).
     pub fn cut_weight(&self, part: &[u32]) -> f64 {
