@@ -7,7 +7,7 @@
 //! serve as the partitioning model `M` of the coarsening framework
 //! (the paper's Coarsen+Graph-enc-dec configuration).
 
-use crate::trainer::{pick_action, PolicyInput, PolicyModel, RolloutMode};
+use crate::trainer::{greedy_placement, pick_action, PolicyInput, PolicyModel, RolloutMode};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -17,7 +17,6 @@ use spg_core::pipeline::CoarsePlacer;
 use spg_graph::{Allocator, ClusterSpec, CoarseGraph, GraphFeatures, Placement, StreamGraph};
 use spg_nn::layers::{Linear, LstmCell};
 use spg_nn::{Matrix, ParamSet, Tape, Var};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The Graph-enc-dec model, built for a fixed device count.
 pub struct GraphEncDec {
@@ -28,7 +27,6 @@ pub struct GraphEncDec {
     out: Linear,
     params: ParamSet,
     name: String,
-    seed: AtomicU64,
 }
 
 impl GraphEncDec {
@@ -47,7 +45,6 @@ impl GraphEncDec {
             out,
             params,
             name: "Graph-enc-dec".to_string(),
-            seed: AtomicU64::new(11),
         }
     }
 }
@@ -108,18 +105,8 @@ impl PolicyModel for GraphEncDec {
 
 impl Allocator for GraphEncDec {
     fn allocate(&self, graph: &StreamGraph, cluster: &ClusterSpec, source_rate: f64) -> Placement {
-        let feats = GraphFeatures::extract(graph, cluster, source_rate);
-        let order = graph.topo_order().to_vec();
-        let input = PolicyInput {
-            view: graph.topo_view(),
-            feats: &feats,
-            devices: cluster.devices.min(self.devices),
-            order: &order,
-        };
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (_, placement, _) = self.rollout(&input, RolloutMode::Greedy, &mut rng);
-        placement
+        let devices = cluster.devices.min(self.devices);
+        greedy_placement(self, graph, cluster, source_rate, devices)
     }
 
     fn name(&self) -> &str {
@@ -138,8 +125,8 @@ impl CoarsePlacer for GraphEncDec {
             devices: self.devices,
             order: &order,
         };
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // Argmax decoding draws nothing from the RNG.
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
         let (_, placement, _) = self.rollout(&input, RolloutMode::Greedy, &mut rng);
         placement
     }

@@ -6,16 +6,13 @@
 //! DESIGN.md; the baseline's failure mode on large graphs is architectural,
 //! not capacity-bound).
 
-use crate::trainer::{pick_action, PolicyInput, PolicyModel, RolloutMode};
+use crate::trainer::{greedy_placement, pick_action, PolicyInput, PolicyModel, RolloutMode};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use spg_core::config::CoarsenConfig;
 use spg_core::encoder::EdgeAwareGnn;
-use spg_graph::{Allocator, ClusterSpec, GraphFeatures, Placement, StreamGraph};
+use spg_graph::{Allocator, ClusterSpec, Placement, StreamGraph};
 use spg_nn::layers::Linear;
 use spg_nn::{ParamSet, Tape, Var};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The GDP-lite model.
 pub struct GdpLite {
@@ -28,7 +25,6 @@ pub struct GdpLite {
     out: Linear,
     params: ParamSet,
     name: String,
-    seed: AtomicU64,
     scale: f32,
 }
 
@@ -48,7 +44,6 @@ impl GdpLite {
             encoder,
             params,
             name: "GDP".to_string(),
-            seed: AtomicU64::new(13),
             scale: 1.0 / (att as f32).sqrt(),
         }
     }
@@ -103,18 +98,7 @@ impl PolicyModel for GdpLite {
 
 impl Allocator for GdpLite {
     fn allocate(&self, graph: &StreamGraph, cluster: &ClusterSpec, source_rate: f64) -> Placement {
-        let feats = GraphFeatures::extract(graph, cluster, source_rate);
-        let order = graph.topo_order().to_vec();
-        let input = PolicyInput {
-            view: graph.topo_view(),
-            feats: &feats,
-            devices: self.devices,
-            order: &order,
-        };
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (_, placement, _) = self.rollout(&input, RolloutMode::Greedy, &mut rng);
-        placement
+        greedy_placement(self, graph, cluster, source_rate, self.devices)
     }
 
     fn name(&self) -> &str {
@@ -126,6 +110,8 @@ impl Allocator for GdpLite {
 mod tests {
     use super::*;
     use crate::trainer::{PolicyTrainOptions, PolicyTrainer};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use spg_gen::{DatasetSpec, Setting};
 
     #[test]

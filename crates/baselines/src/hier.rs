@@ -7,16 +7,13 @@
 //! group ids carry no cross-graph semantics. We reproduce the architecture
 //! faithfully so that the comparison can be reproduced too.
 
-use crate::trainer::{pick_action, PolicyInput, PolicyModel, RolloutMode};
+use crate::trainer::{greedy_placement, pick_action, PolicyInput, PolicyModel, RolloutMode};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use spg_core::config::CoarsenConfig;
 use spg_core::encoder::EdgeAwareGnn;
-use spg_graph::{Allocator, ClusterSpec, GraphFeatures, Placement, StreamGraph};
+use spg_graph::{Allocator, ClusterSpec, Placement, StreamGraph};
 use spg_nn::layers::{Activation, Mlp};
 use spg_nn::{ParamSet, Tape, Var};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The Hierarchical grouper+placer model.
 pub struct Hierarchical {
@@ -29,7 +26,6 @@ pub struct Hierarchical {
     placer: Mlp,
     params: ParamSet,
     name: String,
-    seed: AtomicU64,
 }
 
 impl Hierarchical {
@@ -58,7 +54,6 @@ impl Hierarchical {
             placer,
             params,
             name: "Hierarchical".to_string(),
-            seed: AtomicU64::new(17),
         }
     }
 }
@@ -118,18 +113,7 @@ impl PolicyModel for Hierarchical {
 
 impl Allocator for Hierarchical {
     fn allocate(&self, graph: &StreamGraph, cluster: &ClusterSpec, source_rate: f64) -> Placement {
-        let feats = GraphFeatures::extract(graph, cluster, source_rate);
-        let order = graph.topo_order().to_vec();
-        let input = PolicyInput {
-            view: graph.topo_view(),
-            feats: &feats,
-            devices: self.devices,
-            order: &order,
-        };
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (_, placement, _) = self.rollout(&input, RolloutMode::Greedy, &mut rng);
-        placement
+        greedy_placement(self, graph, cluster, source_rate, self.devices)
     }
 
     fn name(&self) -> &str {
@@ -141,7 +125,10 @@ impl Allocator for Hierarchical {
 mod tests {
     use super::*;
     use crate::trainer::{PolicyTrainOptions, PolicyTrainer};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use spg_gen::{DatasetSpec, Setting};
+    use spg_graph::GraphFeatures;
 
     #[test]
     fn placement_is_group_consistent() {

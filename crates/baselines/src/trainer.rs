@@ -214,6 +214,27 @@ impl<M: PolicyModel> PolicyTrainer<M> {
     }
 }
 
+/// Greedy placement of `graph` over `devices` devices in topological
+/// order, as the learned baselines deploy. Argmax decoding draws nothing,
+/// so the answer depends on the model and the call's inputs alone.
+pub(crate) fn greedy_placement<M: PolicyModel>(
+    model: &M,
+    graph: &StreamGraph,
+    cluster: &ClusterSpec,
+    source_rate: f64,
+    devices: usize,
+) -> Placement {
+    let feats = GraphFeatures::extract(graph, cluster, source_rate);
+    let input = PolicyInput {
+        view: graph.topo_view(),
+        feats: &feats,
+        devices,
+        order: graph.topo_order(),
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    model.rollout(&input, RolloutMode::Greedy, &mut rng).1
+}
+
 /// Sample or argmax a device from one row of logits.
 pub(crate) fn pick_action<R: Rng>(logits_row: &[f32], mode: RolloutMode, rng: &mut R) -> u32 {
     match mode {

@@ -11,7 +11,6 @@ use spg_graph::{
     TupleRates,
 };
 use spg_partition::{kway_partition, PartitionConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Places a coarse graph onto devices — the `M` of the paper's framework.
 /// Metis and the learned Graph-enc-dec baseline both implement this.
@@ -27,8 +26,6 @@ pub trait CoarsePlacer {
 /// Metis-style multilevel partitioning of the coarse graph.
 #[derive(Debug, Clone)]
 pub struct MetisCoarsePlacer {
-    /// Partitioner tuning.
-    pub config: PartitionConfig,
     seed: u64,
 }
 
@@ -36,10 +33,7 @@ impl MetisCoarsePlacer {
     /// Placer whose partitioner RNG is seeded from `seed` and the coarse
     /// graph's content.
     pub fn new(seed: u64) -> Self {
-        Self {
-            config: PartitionConfig::default(),
-            seed,
-        }
+        Self { seed }
     }
 }
 
@@ -52,7 +46,7 @@ impl CoarsePlacer for MetisCoarsePlacer {
         // which removes a large variance term from the policy gradient and
         // keeps buffered sample rewards valid across steps.
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ fingerprint(coarse));
-        Placement::new(kway_partition(&w, k, &self.config, &mut rng))
+        Placement::new(kway_partition(&w, k, &PartitionConfig::default(), &mut rng))
     }
 
     fn placer_name(&self) -> &str {
@@ -80,19 +74,16 @@ fn fingerprint(coarse: &CoarseGraph) -> u64 {
     h
 }
 
-/// The full Coarsen+`M` allocator.
+/// The full Coarsen+`M` allocator: greedy decoding, optionally best-of-N.
 pub struct CoarsenAllocator<P: CoarsePlacer> {
     /// The trained coarsening model.
     pub model: CoarsenModel,
     /// The partitioning model `M`.
     pub placer: P,
-    /// Decision decoding (greedy for deployment).
-    pub mode: DecodeMode,
     /// When > 0, evaluate this many candidate coarsenings (greedy +
     /// samples + identity) in the simulator and keep the best.
     pub best_of: usize,
     name: String,
-    seed: AtomicU64,
 }
 
 impl<P: CoarsePlacer> CoarsenAllocator<P> {
@@ -102,10 +93,8 @@ impl<P: CoarsePlacer> CoarsenAllocator<P> {
         Self {
             model,
             placer,
-            mode: DecodeMode::Greedy,
             best_of: 0,
             name,
-            seed: AtomicU64::new(7),
         }
     }
 
@@ -115,13 +104,15 @@ impl<P: CoarsePlacer> CoarsenAllocator<P> {
     /// simulator costs microseconds, so this is cheap insurance in
     /// deployment (the identity candidate makes the allocator no worse
     /// than its placer alone). The paper's evaluation uses plain greedy
-    /// decoding; benches keep `best_of = 0`.
+    /// decoding; benches keep `best_of = 0`. The samples draw from a
+    /// ChaCha8 stream seeded from 7 on every call, so a graph's answer
+    /// does not depend on earlier calls.
     pub fn with_best_of(mut self, n: usize) -> Self {
         self.best_of = n;
         self
     }
 
-    /// Coarsen `graph` with the model (no placement).
+    /// Coarsen `graph` with the model's greedy decisions (no placement).
     pub fn coarsen(
         &self,
         graph: &StreamGraph,
@@ -132,9 +123,8 @@ impl<P: CoarsePlacer> CoarsenAllocator<P> {
         let feats = GraphFeatures::extract_with_rates(graph, cluster, &rates);
         let probs = self.model.predict_probs_with_features(graph, &feats);
         let policy = CoarseningPolicy::from_config(&self.model.config);
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let decisions = policy.decode(&probs, self.mode, &mut rng);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let decisions = policy.decode(&probs, DecodeMode::Greedy, &mut rng);
         let priority = priority_by_prob(&probs);
         policy.apply(graph, &rates, cluster, &decisions, &priority)
     }
@@ -160,8 +150,7 @@ impl<P: CoarsePlacer> Allocator for CoarsenAllocator<P> {
         let feats = GraphFeatures::extract_with_rates(graph, cluster, &rates);
         let probs = self.model.predict_probs_with_features(graph, &feats);
         let policy = CoarseningPolicy::from_config(&self.model.config);
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
 
         let priority = priority_by_prob(&probs);
         let mut candidates: Vec<Coarsening> = Vec::with_capacity(self.best_of);
@@ -198,19 +187,14 @@ impl<P: CoarsePlacer> Allocator for CoarsenAllocator<P> {
 pub struct CoarsenOracleAllocator {
     /// The trained coarsening model.
     pub model: CoarsenModel,
-    /// Partitioner tuning for the per-k partitions.
-    pub config: PartitionConfig,
-    seed: AtomicU64,
+    seed: u64,
 }
 
 impl CoarsenOracleAllocator {
-    /// Oracle allocator with a deterministic seed stream.
+    /// Oracle allocator whose per-k partitions draw, in order, from one
+    /// ChaCha8 stream seeded from `seed` on every call.
     pub fn new(model: CoarsenModel, seed: u64) -> Self {
-        Self {
-            model,
-            config: PartitionConfig::default(),
-            seed: AtomicU64::new(seed),
-        }
+        Self { model, seed }
     }
 }
 
@@ -220,8 +204,7 @@ impl Allocator for CoarsenOracleAllocator {
         let feats = GraphFeatures::extract_with_rates(graph, cluster, &rates);
         let probs = self.model.predict_probs_with_features(graph, &feats);
         let policy = CoarseningPolicy::from_config(&self.model.config);
-        let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let decisions = policy.decode(&probs, DecodeMode::Greedy, &mut rng);
         let priority = priority_by_prob(&probs);
         let coarsening = policy.apply(graph, &rates, cluster, &decisions, &priority);
@@ -229,7 +212,7 @@ impl Allocator for CoarsenOracleAllocator {
         let w = coarsening.coarse.to_weighted();
         let mut best: Option<(f64, Placement)> = None;
         for k in 1..=cluster.devices.min(coarsening.coarse.num_nodes()) {
-            let part = kway_partition(&w, k, &self.config, &mut rng);
+            let part = kway_partition(&w, k, &PartitionConfig::default(), &mut rng);
             let lifted = Placement::lift(&Placement::new(part), &coarsening.node_map);
             let r =
                 spg_sim::reward::relative_throughput_with_rates(graph, cluster, &lifted, &rates);

@@ -347,8 +347,11 @@ impl<P: CoarsePlacer> ReinforceTrainerBuilder<P> {
             .collect();
 
         if options.metis_guided {
-            let metis = spg_partition::MetisAllocator::new(options.seed ^ 0xC0FFEE);
-            for inst in &mut instances {
+            for (i, inst) in instances.iter_mut().enumerate() {
+                // Instance `i`'s guide seeds from the run seed and `i`.
+                let step = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                let seed = (options.seed ^ 0xC0FFEE).wrapping_add(step);
+                let metis = spg_partition::MetisAllocator::new(seed);
                 let placement =
                     spg_graph::Allocator::allocate(&metis, &inst.graph, &cluster, source_rate);
                 let decisions = spg_partition::guided::infer_collapsed_edges(

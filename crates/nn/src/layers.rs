@@ -34,11 +34,6 @@ impl Linear {
         t.add_row(y, b)
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.w.shape().0
-    }
-
     /// Output width.
     pub fn output_dim(&self) -> usize {
         self.w.shape().1
@@ -250,7 +245,6 @@ mod tests {
         let mut set = ParamSet::new();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let l = Linear::new(4, 3, &mut set, &mut rng);
-        assert_eq!(l.input_dim(), 4);
         assert_eq!(l.output_dim(), 3);
         let mut t = Tape::new();
         let x = t.input(Matrix::zeros(5, 4));

@@ -1,40 +1,41 @@
 //! End-to-end allocators built on the multilevel partitioner.
 
 use crate::kway::{kway_partition, PartitionConfig};
-use parking_lot_free::SeedCell;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg_graph::{Allocator, ClusterSpec, Placement, StreamGraph, WeightedGraph};
 
+/// SplitMix64's output finalizer: decorrelates nearby seeds.
+fn mix(seed: u64) -> u64 {
+    let mut z = seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// The Metis baseline: convert the stream graph to its weighted view and
 /// run the multilevel k-way partitioner with `k = |devices|`.
+///
+/// Every call seeds its RNG from `seed` alone, so a graph's placement does
+/// not depend on what the instance allocated before.
 #[derive(Debug, Clone)]
 pub struct MetisAllocator {
-    /// Partitioner tuning.
-    pub config: PartitionConfig,
-    seed: SeedCell,
+    seed: u64,
 }
 
 impl MetisAllocator {
-    /// Default-configured allocator with a deterministic seed.
+    /// Allocator whose partitioner RNG seeds from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self {
-            config: PartitionConfig::default(),
-            seed: SeedCell::new(seed),
-        }
-    }
-
-    /// Partition a pre-built weighted graph into `k` parts.
-    pub fn partition_weighted(&self, w: &WeightedGraph, k: usize) -> Vec<u32> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed.next());
-        kway_partition(w, k, &self.config, &mut rng)
+        Self { seed }
     }
 }
 
 impl Allocator for MetisAllocator {
     fn allocate(&self, graph: &StreamGraph, cluster: &ClusterSpec, source_rate: f64) -> Placement {
         let w = WeightedGraph::from_stream(graph, source_rate);
-        Placement::new(self.partition_weighted(&w, cluster.devices))
+        let mut rng = ChaCha8Rng::seed_from_u64(mix(self.seed));
+        let part = kway_partition(&w, cluster.devices, &PartitionConfig::default(), &mut rng);
+        Placement::new(part)
     }
 
     fn name(&self) -> &str {
@@ -45,20 +46,19 @@ impl Allocator for MetisAllocator {
 /// Metis-oracle (§VI-B): run the partitioner for every device count
 /// `1..=D` and keep the placement with the best simulated throughput. This
 /// is the strongest non-learned baseline in the excess-device setting.
+///
+/// The partition into `k` parts seeds from the finalizer of
+/// `seed + (k - 1)·φ` alone, φ being SplitMix64's increment
+/// `0x9E3779B97F4A7C15`.
 #[derive(Debug, Clone)]
 pub struct MetisOracle {
-    /// Partitioner tuning.
-    pub config: PartitionConfig,
-    seed: SeedCell,
+    seed: u64,
 }
 
 impl MetisOracle {
-    /// Default-configured oracle.
+    /// Oracle whose partitioner RNGs seed from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self {
-            config: PartitionConfig::default(),
-            seed: SeedCell::new(seed),
-        }
+        Self { seed }
     }
 }
 
@@ -67,9 +67,9 @@ impl Allocator for MetisOracle {
         let w = WeightedGraph::from_stream(graph, source_rate);
         let mut best: Option<(f64, Placement)> = None;
         for k in 1..=cluster.devices {
-            let mut rng = ChaCha8Rng::seed_from_u64(self.seed.next());
-            let part = kway_partition(&w, k, &self.config, &mut rng);
-            let p = Placement::new(part);
+            let step = (k as u64 - 1).wrapping_mul(0x9E3779B97F4A7C15);
+            let mut rng = ChaCha8Rng::seed_from_u64(mix(self.seed.wrapping_add(step)));
+            let p = Placement::new(kway_partition(&w, k, &PartitionConfig::default(), &mut rng));
             let r = spg_sim::relative_throughput(graph, cluster, &p, source_rate);
             if best.as_ref().is_none_or(|(br, _)| r > *br) {
                 best = Some((r, p));
@@ -80,35 +80,6 @@ impl Allocator for MetisOracle {
 
     fn name(&self) -> &str {
         "Metis-oracle"
-    }
-}
-
-/// Tiny atomically-stepped seed so `&self` allocators can derive fresh but
-/// deterministic RNG streams per call.
-mod parking_lot_free {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[derive(Debug)]
-    pub struct SeedCell(AtomicU64);
-
-    impl SeedCell {
-        pub fn new(seed: u64) -> Self {
-            Self(AtomicU64::new(seed))
-        }
-
-        pub fn next(&self) -> u64 {
-            // SplitMix64 step: decorrelates consecutive seeds.
-            let mut z = self.0.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-    }
-
-    impl Clone for SeedCell {
-        fn clone(&self) -> Self {
-            Self(AtomicU64::new(self.0.load(Ordering::Relaxed)))
-        }
     }
 }
 
@@ -168,17 +139,5 @@ mod tests {
             );
             assert!(ro >= rp - 0.05, "oracle {ro} much worse than fixed-k {rp}");
         }
-    }
-
-    #[test]
-    fn seed_cell_is_deterministic_and_decorrelated() {
-        let a = parking_lot_free::SeedCell::new(42);
-        let b = parking_lot_free::SeedCell::new(42);
-        let xs: Vec<u64> = (0..4).map(|_| a.next()).collect();
-        let ys: Vec<u64> = (0..4).map(|_| b.next()).collect();
-        assert_eq!(xs, ys);
-        let mut uniq = xs.clone();
-        uniq.dedup();
-        assert_eq!(uniq.len(), xs.len());
     }
 }

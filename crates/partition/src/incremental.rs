@@ -112,7 +112,9 @@ impl LoadModel {
                 a = a.min(cpu_cap / l);
             }
         }
-        for &l in self.egress.iter().chain(&self.ingress).chain(&self.link) {
+        // A link's load sums a subset of its source's egress terms, so
+        // the egress ratio is never above the link's and links never bind.
+        for &l in self.egress.iter().chain(&self.ingress) {
             if l > 0.0 {
                 a = a.min(bw / l);
             }
@@ -174,8 +176,9 @@ enum Slot {
 /// Cut-based refinement stops at local optima of the wrong objective:
 /// the reward is `min` over per-resource capacity/load ratios, so only
 /// moves that relieve the binding resource help at all. Each round
-/// marks every device that sits on a binding ratio (CPU, NIC, or
-/// either endpoint of a saturated link — marking a *set* keeps the
+/// marks every device that sits on a binding ratio (CPU or NIC — a
+/// saturated link's endpoints are marked through their egress and
+/// ingress, which are at least as tight; marking a *set* keeps the
 /// result independent of any bottleneck tie-break), then evaluates
 /// moving each node on a marked device to a pruned deterministic
 /// target set — the devices hosting its neighbours (relieves link and
@@ -248,14 +251,6 @@ fn throughput_polish(
             *m = binding(cpu_cap, model.cpu[d])
                 || binding(bw, model.egress[d])
                 || binding(bw, model.ingress[d]);
-        }
-        for s in 0..k {
-            for t in 0..k {
-                if binding(bw, model.link[s * k + t]) {
-                    marked[s] = true;
-                    marked[t] = true;
-                }
-            }
         }
 
         // A candidate move touches O(degree) load cells, so its reward

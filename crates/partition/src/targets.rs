@@ -120,8 +120,6 @@ fn split<R: Rng>(
 /// capacity shares as targets.
 #[derive(Debug, Clone)]
 pub struct MetisHeteroAllocator {
-    /// Partitioner tuning.
-    pub config: PartitionConfig,
     /// Seed for the RNG stream.
     pub seed: u64,
 }
@@ -129,10 +127,7 @@ pub struct MetisHeteroAllocator {
 impl MetisHeteroAllocator {
     /// Default-configured allocator.
     pub fn new(seed: u64) -> Self {
-        Self {
-            config: PartitionConfig::default(),
-            seed,
-        }
+        Self { seed }
     }
 
     /// Place `graph` on a heterogeneous cluster.
@@ -146,7 +141,8 @@ impl MetisHeteroAllocator {
         let w = WeightedGraph::from_stream(graph, source_rate);
         let targets = cluster.capacity_shares();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.seed);
-        Placement::new(kway_partition_targets(&w, &targets, &self.config, &mut rng))
+        let part = kway_partition_targets(&w, &targets, &PartitionConfig::default(), &mut rng);
+        Placement::new(part)
     }
 }
 

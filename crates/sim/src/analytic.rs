@@ -3,7 +3,6 @@
 //! Every resource load is linear in the source rate `I`:
 //!
 //! * CPU demand of device `d`: `Σ_{v on d} R_v · ipt_v`
-//! * directional link traffic `d1 → d2`: `Σ_{e crossing d1→d2} R_e · P_e`
 //! * NIC load of device `d`: total egress plus total ingress, each capped by
 //!   the link bandwidth (devices have one full-duplex NIC).
 //!
@@ -12,8 +11,11 @@
 //! A stream system under backpressure stabilises at exactly this rate — the
 //! discrete-time simulator in [`crate::des`] confirms it empirically.
 //!
-//! Link loads are summed into a dense row-major `devices × devices`
-//! matrix, one cell per directed device pair, in edge order. The
+//! The directional traffic `d1 → d2` of every device pair is reported too,
+//! summed into a dense row-major `devices × devices` matrix in edge order,
+//! but it never binds: a link's traffic sums a subset of the terms of its
+//! source's egress, in the same order and over the same bandwidth, and
+//! every term is ≥ 0, so that egress is always at least as tight. The
 //! bottleneck scan reads resources in a fixed order, so a tie resolves
 //! the same way in every process (see [`SimResult::bottleneck`]).
 
@@ -30,8 +32,6 @@ pub enum Bottleneck {
     NicEgress(u32),
     /// Ingress NIC bandwidth of device `d` saturates first.
     NicIngress(u32),
-    /// The directional link `src -> dst` saturates first.
-    Link(u32, u32),
 }
 
 /// Result of an analytic simulation.
@@ -42,13 +42,11 @@ pub struct SimResult {
     /// `throughput / source_rate ∈ [0, 1]` — the paper's reward.
     pub relative: f64,
     /// Which resource saturated. Resources are scanned in a fixed order —
-    /// device CPUs, NIC egress, NIC ingress, then links — each by
-    /// ascending device id, links by ascending `(src, dst)`, and only a
-    /// strictly lower ratio replaces the current one. So a tie goes to
-    /// the first resource in that order: among tied links, the lowest
-    /// `(src, dst)`. A link's traffic is part of its source's egress and
-    /// shares its bandwidth, so that egress, scanned earlier, is always
-    /// at least as tight as the link.
+    /// device CPUs, NIC egress, then NIC ingress — each by ascending
+    /// device id, and only a strictly lower ratio replaces the current
+    /// one. So a tie goes to the first resource in that order. Links are
+    /// not scanned: a link's traffic is part of its source's egress and
+    /// shares its bandwidth, so that egress is always at least as tight.
     pub bottleneck: Bottleneck,
     /// CPU demand offered to each device at full source rate (instr/s).
     pub cpu_load: Vec<f64>,
@@ -173,15 +171,6 @@ pub fn simulate_with_rates(
             if a < alpha {
                 alpha = a;
                 bottleneck = Bottleneck::NicIngress(dev as u32);
-            }
-        }
-    }
-    for (cell, &load) in link_traffic.iter().enumerate() {
-        if load > 0.0 {
-            let a = bw / load;
-            if a < alpha {
-                alpha = a;
-                bottleneck = Bottleneck::Link((cell / d) as u32, (cell % d) as u32);
             }
         }
     }

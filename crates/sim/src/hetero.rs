@@ -1,7 +1,6 @@
 //! Analytic throughput on heterogeneous clusters (the paper's future-work
 //! extension): same bottleneck model as [`crate::analytic`], with
-//! per-device CPU capacities, the same dense link matrix and the same
-//! tie rule.
+//! per-device CPU capacities and the same tie rule.
 
 use crate::analytic::Bottleneck;
 use spg_graph::hetero::HeteroClusterSpec;
@@ -41,7 +40,6 @@ pub fn simulate_hetero(
 
     let mut egress = vec![0.0f64; d];
     let mut ingress = vec![0.0f64; d];
-    let mut link_traffic = vec![0.0f64; d * d];
     for (i, &(s, t)) in graph.edge_list().iter().enumerate() {
         let (ds, dt) = (
             placement.device(s as usize) as usize,
@@ -53,7 +51,6 @@ pub fn simulate_hetero(
         let traffic = rates.edge[i] * graph.channels()[i].payload;
         egress[ds] += traffic;
         ingress[dt] += traffic;
-        link_traffic[ds * d + dt] += traffic;
     }
 
     let bw = cluster.link_bytes_per_sec();
@@ -83,15 +80,6 @@ pub fn simulate_hetero(
             if a < alpha {
                 alpha = a;
                 bottleneck = Bottleneck::NicIngress(dev as u32);
-            }
-        }
-    }
-    for (cell, &load) in link_traffic.iter().enumerate() {
-        if load > 0.0 {
-            let a = bw / load;
-            if a < alpha {
-                alpha = a;
-                bottleneck = Bottleneck::Link((cell / d) as u32, (cell % d) as u32);
             }
         }
     }

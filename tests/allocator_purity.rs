@@ -2,13 +2,17 @@
 //! and the call's inputs. `fresh_instance_placements_are_pinned` digests
 //! what a fresh instance of every seeded allocator answers per graph, so a
 //! change to how an allocator seeds its RNG that moves one label fails
-//! here.
+//! here. `call_order_never_moves_a_throughput` runs one instance of each
+//! configuration over the dataset and then over it reversed: a graph's
+//! throughput must not depend on which graphs came before it.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spg::baselines::{GdpLite, GraphEncDec, Hierarchical, RandomPlacement};
+use spg::baselines::{AllOnOne, GdpLite, GraphEncDec, Hierarchical, RandomPlacement, RoundRobin};
+use spg::eval::evaluate_allocator;
 use spg::gen::{generate_dataset, DatasetSpec, Setting};
 use spg::graph::serialize::Dataset;
+use spg::model::pipeline::CoarsenOnlyAllocator;
 use spg::model::{
     CoarsenAllocator, CoarsenConfig, CoarsenModel, CoarsenOracleAllocator, MetisCoarsePlacer,
 };
@@ -82,4 +86,39 @@ fn fresh_instance_placements_are_pinned() {
         "fresh-instance placement bits moved: {:#018x}",
         h.0
     );
+}
+
+#[test]
+fn call_order_never_moves_a_throughput() {
+    let ds = dataset();
+    let mut reversed = ds.clone();
+    reversed.graphs.reverse();
+    let mut allocators = seeded(ds.cluster.devices);
+    allocators.push(Box::new(CoarsenAllocator::new(
+        model(7),
+        MetisCoarsePlacer::new(7),
+    )));
+    allocators.push(Box::new(CoarsenOnlyAllocator { model: model(8) }));
+    allocators.push(Box::new(RoundRobin));
+    allocators.push(Box::new(AllOnOne));
+    assert_eq!(allocators.len(), 13);
+    let mut moved = Vec::new();
+    for (i, alloc) in allocators.iter().enumerate() {
+        let forward = evaluate_allocator(alloc.as_ref(), &ds).throughputs;
+        let mut backward = evaluate_allocator(alloc.as_ref(), &reversed).throughputs;
+        backward.reverse();
+        let changed = forward
+            .iter()
+            .zip(&backward)
+            .filter(|(f, b)| f.to_bits() != b.to_bits())
+            .count();
+        if changed > 0 {
+            moved.push(format!(
+                "#{i} {} ({changed}/{})",
+                alloc.name(),
+                forward.len()
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "call order moved throughputs: {moved:?}");
 }
