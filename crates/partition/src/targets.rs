@@ -125,7 +125,7 @@ pub struct MetisHeteroAllocator {
 }
 
 impl MetisHeteroAllocator {
-    /// Default-configured allocator.
+    /// Allocator whose partitioner RNG seeds from `seed` on every call.
     pub fn new(seed: u64) -> Self {
         Self { seed }
     }

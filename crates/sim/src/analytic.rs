@@ -277,7 +277,7 @@ mod tests {
             r.link_traffic[2 * d + 1].to_bits()
         );
         assert!((r.relative - 125e6 / 1e9).abs() < 1e-12);
-        // Egress is scanned before links, and device 0 before device 2.
+        // Links are not scanned, and tied egresses go to device 0 first.
         assert_eq!(r.bottleneck, Bottleneck::NicEgress(0));
         // Listing the flows the other way round names the same resource.
         let mut b = StreamGraphBuilder::new();
