@@ -243,7 +243,11 @@ mod tests {
             let set: HashSet<(u32, u32)> = sk.edges.iter().copied().collect();
             assert_eq!(set.len(), sk.edges.len(), "duplicate edges (seed {seed})");
             assert!(
-                spg_graph::topo::topological_order(sk.num_nodes, &sk.edges).is_some(),
+                spg_graph::topo::topological_order(&spg_graph::Csr::from_edges(
+                    sk.num_nodes,
+                    sk.edges.iter().copied()
+                ))
+                .is_some(),
                 "cycle introduced (seed {seed})"
             );
             assert!(

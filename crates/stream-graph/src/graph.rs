@@ -265,7 +265,7 @@ impl StreamGraph {
             return Err(GraphError::DuplicateEdge { src, dst });
         }
         let in_adj = Csr::from_edges(n, edges.iter().map(|&(s, d)| (d, s)));
-        let topo_order = topo::topological_order(n, &edges).ok_or(GraphError::Cycle)?;
+        let topo_order = topo::topological_order(&out_adj).ok_or(GraphError::Cycle)?;
         Ok(Self {
             ops,
             edges,

@@ -1,24 +1,19 @@
 //! Topological ordering / cycle detection (Kahn's algorithm).
 
-/// Return a topological order of `0..n` under `edges`, or `None` if the
-/// graph contains a directed cycle.
-pub fn topological_order(n: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
-    let mut indeg = vec![0u32; n];
-    let mut adj_count = vec![0u32; n + 1];
-    for &(s, d) in edges {
-        indeg[d as usize] += 1;
-        adj_count[s as usize + 1] += 1;
-    }
-    for i in 0..n {
-        adj_count[i + 1] += adj_count[i];
-    }
-    let mut cursor = adj_count.clone();
-    let mut adj = vec![0u32; edges.len()];
-    for &(s, d) in edges {
-        adj[cursor[s as usize] as usize] = d;
-        cursor[s as usize] += 1;
-    }
+use crate::csr::Csr;
 
+/// Return a topological order of the nodes of the out-adjacency `out`,
+/// or `None` if the graph contains a directed cycle. Each node's
+/// successors are released in bucket order, so the order is a function
+/// of the edge list the buckets were filled from.
+pub fn topological_order(out: &Csr) -> Option<Vec<u32>> {
+    let n = out.num_nodes();
+    let mut indeg = vec![0u32; n];
+    for v in 0..n as u32 {
+        for &w in out.neighbor_slice(v) {
+            indeg[w as usize] += 1;
+        }
+    }
     let mut order = Vec::with_capacity(n);
     let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
     // Process as a FIFO for a BFS-like "wavefront" order (sources first).
@@ -27,9 +22,7 @@ pub fn topological_order(n: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
         let v = queue[head];
         head += 1;
         order.push(v);
-        let lo = adj_count[v as usize] as usize;
-        let hi = adj_count[v as usize + 1] as usize;
-        for &w in &adj[lo..hi] {
+        for &w in out.neighbor_slice(v) {
             indeg[w as usize] -= 1;
             if indeg[w as usize] == 0 {
                 queue.push(w);
@@ -69,27 +62,29 @@ pub fn depths(n: usize, edges: &[(u32, u32)], order: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    fn order(n: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
+        topological_order(&Csr::from_edges(n, edges.iter().copied()))
+    }
+
     #[test]
     fn orders_chain() {
-        let order = topological_order(3, &[(0, 1), (1, 2)]).unwrap();
-        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(order(3, &[(0, 1), (1, 2)]).unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
     fn detects_cycle() {
-        assert!(topological_order(2, &[(0, 1), (1, 0)]).is_none());
+        assert!(order(2, &[(0, 1), (1, 0)]).is_none());
     }
 
     #[test]
     fn handles_disconnected() {
-        let order = topological_order(4, &[(2, 3)]).unwrap();
-        assert_eq!(order.len(), 4);
+        assert_eq!(order(4, &[(2, 3)]).unwrap().len(), 4);
     }
 
     #[test]
     fn depths_of_diamond() {
         let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
-        let order = topological_order(4, &edges).unwrap();
+        let order = order(4, &edges).unwrap();
         let d = depths(4, &edges, &order);
         assert_eq!(d, vec![0, 1, 1, 2]);
     }
