@@ -5,8 +5,10 @@
 //! them through [`crate::reactor::poll_fds`] so thousands of idle
 //! connections cost a poll-set entry each instead of two parked
 //! threads. All sockets are nonblocking with manual line assembly
-//! (reads append to a per-connection buffer, writes drain a
+//! (reads append to a per-connection `LineBuf`, writes drain a
 //! per-connection queue), so a slow client never stalls anyone else.
+//! Each received byte is searched for a newline once, however many
+//! reads its line takes to arrive.
 //!
 //! Routing is rendezvous hashing ([`shard_of`]) over the request's
 //! FNV-1a content fingerprint: a repeat graph always lands on the same
@@ -26,10 +28,12 @@ use crate::lru::{realloc_fingerprint, request_fingerprint};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::replica::{Completion, Job, JobKind};
 use crate::server::ServeConfig;
+use serde_json::lex::find;
 use spg_graph::wire::{parse_request_with_id, WireRequest};
 use spg_graph::ClusterSpec;
 use spg_obs::TelemetrySink;
 use spg_sim::inject::{Fault, Site};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -84,12 +88,80 @@ pub(crate) struct IoStats {
     pub protocol_errors: u64,
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
+    /// Wall time spent ingesting request lines (framing, scan, graph
+    /// build and fingerprint, or until a refused line is answered), in
+    /// ns; counted only with telemetry on.
+    pub ingest_ns: u64,
+}
+
+/// The bytes a connection has received but not yet framed into lines.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    /// How many leading bytes hold no newline. The search resumes here,
+    /// so a line that arrives over many reads is searched once, not
+    /// from its first byte on every read.
+    searched: usize,
+}
+
+impl LineBuf {
+    /// Append one read's bytes; false once the buffer holds more than
+    /// [`MAX_LINE_BYTES`].
+    fn push(&mut self, chunk: &[u8]) -> bool {
+        self.bytes.extend_from_slice(chunk);
+        self.bytes.len() <= MAX_LINE_BYTES
+    }
+
+    /// Hand each complete line to `line`, decoded lossily and trimmed,
+    /// skipping blank ones, then drop the bytes they took.
+    fn frame(&mut self, mut line: impl FnMut(&str)) {
+        let mut start = 0;
+        while let Some(at) = find(&self.bytes[self.searched..], b'\n') {
+            let end = self.searched + at;
+            let raw = &self.bytes[start..end];
+            // The same text `from_utf8_lossy` gives, but valid UTF-8 is
+            // checked a word at a time where the lossy decoder walks it
+            // byte by byte.
+            let text = match std::str::from_utf8(raw) {
+                Ok(text) => Cow::Borrowed(text),
+                Err(_) => String::from_utf8_lossy(raw),
+            };
+            let text = text.trim();
+            if !text.is_empty() {
+                line(text);
+            }
+            start = end + 1;
+            self.searched = start;
+        }
+        self.bytes.drain(..start);
+        self.searched = self.bytes.len();
+    }
+}
+
+/// A run total of wall time, kept only while telemetry is on.
+struct Stopwatch {
+    on: bool,
+    since: Option<Instant>,
+    total_ns: u64,
+}
+
+impl Stopwatch {
+    fn start(&mut self) {
+        if self.on {
+            self.since = Some(Instant::now());
+        }
+    }
+
+    fn stop(&mut self) {
+        if let Some(since) = self.since.take() {
+            self.total_ns += since.elapsed().as_nanos() as u64;
+        }
+    }
 }
 
 struct Conn {
     stream: TcpStream,
-    /// Bytes received but not yet terminated by a newline.
-    rbuf: Vec<u8>,
+    lines: LineBuf,
     /// Response bytes queued for this connection; `wpos` marks how far
     /// the socket has accepted them.
     wbuf: Vec<u8>,
@@ -145,6 +217,9 @@ struct Router<'a> {
     /// Monotone per-job sequence, the key replicas track in-flight
     /// work under (see `FlightTable`).
     next_seq: u64,
+    /// Times each line from the start of its framing until it is
+    /// scanned, built and fingerprinted, or refused.
+    ingest: Stopwatch,
 }
 
 impl Router<'_> {
@@ -208,6 +283,7 @@ impl Router<'_> {
                 delta,
             } => realloc_fingerprint(&graph, prior_placement, delta, devices, rate),
         };
+        self.ingest.stop();
         let shard = shard_of(fingerprint, self.job_txs.len() as u32);
         // Past the watermark the shard is already behind: mark the job
         // cache-only so the replica answers from its LRU or sheds,
@@ -278,6 +354,11 @@ pub(crate) fn io_loop(
         source_rate,
         sink,
         next_seq: 0,
+        ingest: Stopwatch {
+            on: sink.enabled(),
+            since: None,
+            total_ns: 0,
+        },
     };
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn_id: u64 = 0;
@@ -295,7 +376,7 @@ pub(crate) fn io_loop(
         let mut order: Vec<u64> = Vec::with_capacity(conns.len());
         for (&id, conn) in &conns {
             let mut events = 0i16;
-            if !conn.read_eof && conn.rbuf.len() < MAX_LINE_BYTES {
+            if !conn.read_eof && conn.lines.bytes.len() < MAX_LINE_BYTES {
                 events |= POLLIN;
             }
             if !conn.flushed() {
@@ -363,7 +444,7 @@ pub(crate) fn io_loop(
                 next_conn_id,
                 Conn {
                     stream,
-                    rbuf: Vec::new(),
+                    lines: LineBuf::default(),
                     wbuf: Vec::new(),
                     wpos: 0,
                     read_eof: false,
@@ -394,8 +475,7 @@ pub(crate) fn io_loop(
                         break;
                     }
                     Ok(n) => {
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
-                        if conn.rbuf.len() > MAX_LINE_BYTES {
+                        if !conn.lines.push(&chunk[..n]) {
                             router.stats.protocol_errors += 1;
                             conn.dead = true;
                             break;
@@ -412,14 +492,18 @@ pub(crate) fn io_loop(
             if conn.dead {
                 continue;
             }
-            while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&raw);
-                let line = line.trim();
-                if !line.is_empty() {
-                    router.handle_line(line, id, conn);
-                }
-            }
+            // The lines are borrowed from the buffer while the router
+            // answers on the connection, so the buffer steps out of it.
+            let mut lines = std::mem::take(&mut conn.lines);
+            router.ingest.start();
+            lines.frame(|line| {
+                router.handle_line(line, id, conn);
+                // A refused line stops the watch here, once answered.
+                router.ingest.stop();
+                router.ingest.start();
+            });
+            router.ingest.stop();
+            conn.lines = lines;
         }
 
         // Write pass: opportunistic — anything queued this iteration
@@ -463,12 +547,87 @@ pub(crate) fn io_loop(
             }
         }
     }
+    router.stats.ingest_ns = router.ingest.total_ns;
     router.stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lines `LineBuf` frames from `text` arriving in reads of
+    /// `piece` bytes, framed after every read as `io_loop` does, and the
+    /// bytes left over.
+    fn framed(text: &[u8], piece: usize) -> (Vec<String>, Vec<u8>) {
+        let mut buf = LineBuf::default();
+        let mut lines = Vec::new();
+        for read in text.chunks(piece) {
+            assert!(buf.push(read));
+            buf.frame(|line| lines.push(line.to_string()));
+            assert_eq!(buf.searched, buf.bytes.len(), "every byte left is searched");
+        }
+        (lines, buf.bytes)
+    }
+
+    /// How the router framed one read's buffer before `LineBuf`: search
+    /// from byte 0, copy the line out, decode it lossily, trim it.
+    fn framed_by_copying(text: &[u8]) -> (Vec<String>, Vec<u8>) {
+        let mut rbuf = text.to_vec();
+        let mut lines = Vec::new();
+        while let Some(pos) = rbuf.iter().position(|&b| b == b'\n') {
+            let raw: Vec<u8> = rbuf.drain(..=pos).collect();
+            let line = String::from_utf8_lossy(&raw);
+            let line = line.trim();
+            if !line.is_empty() {
+                lines.push(line.to_string());
+            }
+        }
+        (lines, rbuf)
+    }
+
+    #[test]
+    fn a_line_split_over_many_reads_frames_as_in_one_read() {
+        let mut text = b"{\"id\":\"a\"}\n{\"id\":\"b\"}\n".to_vec();
+        text.extend_from_slice(b"\n\n \t\r\n");
+        text.extend_from_slice(b"  padded \r\n");
+        text.extend_from_slice(b"bad \xff\xfe utf8 \xe2\x82\n\xf0\x9f\n");
+        text.extend_from_slice("\u{a0}wide \u{2003}é\u{3000}\n".as_bytes());
+        text.extend_from_slice(&[b'x'; 100]);
+        text.extend_from_slice(b"\npartial \xe2");
+        let want: Vec<String> = [
+            "{\"id\":\"a\"}",
+            "{\"id\":\"b\"}",
+            "padded",
+            "bad \u{fffd}\u{fffd} utf8 \u{fffd}",
+            "\u{fffd}",
+            "wide \u{2003}é",
+            &"x".repeat(100),
+        ]
+        .map(String::from)
+        .to_vec();
+        let left = b"partial \xe2".to_vec();
+        assert_eq!(framed_by_copying(&text), (want.clone(), left.clone()));
+        for piece in 1..=text.len() {
+            assert_eq!(
+                framed(&text, piece),
+                (want.clone(), left.clone()),
+                "{piece}-byte reads"
+            );
+        }
+    }
+
+    #[test]
+    fn reads_past_the_line_cap_are_refused() {
+        let mut buf = LineBuf::default();
+        let read = vec![b'x'; 1 << 20];
+        for _ in 0..MAX_LINE_BYTES / read.len() {
+            assert!(buf.push(&read));
+            buf.frame(|line| panic!("no line ends here: {} bytes", line.len()));
+        }
+        assert_eq!(buf.bytes.len(), MAX_LINE_BYTES);
+        assert_eq!(buf.searched, MAX_LINE_BYTES);
+        assert!(!buf.push(b"\n"), "one byte past the cap");
+    }
 
     #[test]
     fn shard_of_is_deterministic_and_in_range() {

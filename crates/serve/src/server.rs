@@ -367,6 +367,7 @@ impl Server {
                 source_rate,
                 sink,
             );
+            sink.counter("serve.ingest_ns", io.ingest_ns);
             let mut report = ServeReport {
                 errors: io.protocol_errors,
                 ..ServeReport::default()

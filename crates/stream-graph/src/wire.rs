@@ -29,8 +29,10 @@
 //! may hold; its accept-set is listed there and pinned by
 //! `tests/wire_accept_set.rs`. It is the request walk over
 //! `serde_json::lex`, the lexer that `serde_json::from_str` also reads
-//! with, so responses and the cold paths (datasets, checkpoints) take
-//! the same JSON through the generic `Value` codec.
+//! with, so response parsing and the cold paths (datasets, checkpoints)
+//! take the same JSON through the generic `Value` codec. A success
+//! response is written straight into its line by
+//! [`AllocResponse::to_line`], in the bytes that codec gave.
 //!
 //! ## Versioning
 //!
@@ -63,7 +65,7 @@ use crate::graph::{Channel, Operator, StreamGraph};
 use crate::serialize::validate_numbers;
 use crate::wire_fast::Scanned;
 use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Named protocol error. The variant's [`WireError::code`] is what goes
 /// over the wire in [`ErrorResponse::error`]; the payload is the
@@ -467,36 +469,46 @@ pub struct AllocResponse {
 }
 
 impl AllocResponse {
-    /// Render as one JSONL response line (no trailing newline).
+    /// Render as one JSONL response line (no trailing newline), written
+    /// straight into one `String`: numbers in their `Display` form, a
+    /// non-finite throughput as `null`, strings escaped as `serde_json`
+    /// escapes them. `v`, `shard` and `realloc` are written only when
+    /// present, so a v1 response line keeps the pre-versioning bytes.
     pub fn to_line(&self) -> String {
-        serde_json::to_string(self).expect("wire value renders")
-    }
-}
-
-// Hand-rolled (the vendored serde derive has no optional-field support):
-// `v`/`shard` are emitted only when present, so a v1 response line is
-// byte-identical to the pre-versioning wire format.
-impl Serialize for AllocResponse {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_string(), Value::Str(self.id.clone())),
-            ("placement".to_string(), self.placement.serialize()),
-            (
-                "relative_throughput".to_string(),
-                self.relative_throughput.serialize(),
-            ),
-            ("cached".to_string(), Value::Bool(self.cached)),
-        ];
+        let extra = self.id.len() + self.realloc.as_ref().map_or(0, String::len);
+        let mut out = String::with_capacity(128 + extra + 4 * self.placement.len());
+        out.push_str("{\"id\":");
+        serde_json::write_json_string(&self.id, &mut out);
+        out.push_str(",\"placement\":[");
+        for (i, &device) in self.placement.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{device}");
+        }
+        out.push_str("],\"relative_throughput\":");
+        if self.relative_throughput.is_finite() {
+            let _ = write!(out, "{}", self.relative_throughput);
+        } else {
+            out.push_str("null");
+        }
+        out.push_str(if self.cached {
+            ",\"cached\":true"
+        } else {
+            ",\"cached\":false"
+        });
         if let Some(v) = self.v {
-            fields.push(("v".to_string(), v.serialize()));
+            let _ = write!(out, ",\"v\":{v}");
         }
         if let Some(shard) = self.shard {
-            fields.push(("shard".to_string(), shard.serialize()));
+            let _ = write!(out, ",\"shard\":{shard}");
         }
         if let Some(realloc) = &self.realloc {
-            fields.push(("realloc".to_string(), Value::Str(realloc.clone())));
+            out.push_str(",\"realloc\":");
+            serde_json::write_json_string(realloc, &mut out);
         }
-        Value::Object(fields)
+        out.push('}');
+        out
     }
 }
 
@@ -1048,6 +1060,72 @@ mod tests {
             .replacen("\"prior_placement\":[0,1],", "", 1);
         let err = parse_request(&line).unwrap_err();
         assert!(err.detail().contains("prior_placement"), "{err}");
+    }
+
+    #[test]
+    fn response_lines_are_the_value_codecs_bytes() {
+        // What `to_line` wrote when it rendered a `Value` tree through
+        // `serde_json::to_string`.
+        fn via_value(r: &AllocResponse) -> String {
+            let mut fields = vec![
+                ("id".to_string(), r.id.serialize()),
+                ("placement".to_string(), r.placement.serialize()),
+                (
+                    "relative_throughput".to_string(),
+                    r.relative_throughput.serialize(),
+                ),
+                ("cached".to_string(), Value::Bool(r.cached)),
+            ];
+            if let Some(v) = r.v {
+                fields.push(("v".to_string(), v.serialize()));
+            }
+            if let Some(shard) = r.shard {
+                fields.push(("shard".to_string(), shard.serialize()));
+            }
+            if let Some(realloc) = &r.realloc {
+                fields.push(("realloc".to_string(), realloc.serialize()));
+            }
+            serde_json::to_string(&Value::Object(fields)).unwrap()
+        }
+        let ids = ["r1", "", "q\"b\\s/\n\r\t\u{1}\u{1f}é\u{2028}"];
+        let throughputs = [
+            0.0,
+            -0.0,
+            1.0,
+            0.875,
+            0.1 + 0.2,
+            1e-300,
+            f64::MIN_POSITIVE,
+            123456789.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let placements = [
+            vec![],
+            vec![0],
+            vec![0, 9, 10, 99, 100, 1023, 65_535, u32::MAX],
+        ];
+        let mut n = 0;
+        for id in ids {
+            for &relative_throughput in &throughputs {
+                for placement in &placements {
+                    for mask in 0..16u32 {
+                        let resp = AllocResponse {
+                            id: id.to_string(),
+                            placement: placement.clone(),
+                            relative_throughput,
+                            cached: mask & 1 != 0,
+                            v: (mask & 2 != 0).then_some(u64::MAX - u64::from(mask)),
+                            shard: (mask & 4 != 0).then_some(mask * 1_000_003),
+                            realloc: (mask & 8 != 0).then(|| format!("warm{id}")),
+                        };
+                        assert_eq!(resp.to_line(), via_value(&resp));
+                        n += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(n, 3 * 10 * 3 * 16);
     }
 
     #[test]

@@ -20,12 +20,13 @@ cargo build --release
 # kernels bitwise against the naive loop, every tanh tier against the
 # scalar fdlibm port and glibc's golden bits, the unsafe FM move
 # selection against its scalar oracle, the pinned partitions and
-# first-call allocator placements, and the pinned warm re-allocation
-# bits and allocation count, in the optimised codegen that ships.
+# first-call allocator placements, the pinned warm re-allocation bits
+# and allocation count, and the serve wire path's allocation counts, in
+# the optimised codegen that ships.
 cargo test --release -q -p spg-nn --test matmul_property
 cargo test --release -q --test tanh_bits
 cargo test --release -q --test partition_bits --test allocator_purity
-cargo test --release -q --test realloc_bits --test realloc_allocs
+cargo test --release -q --test realloc_bits --test realloc_allocs --test wire_allocs
 cargo test --release -q -p spg-partition
 # The root manifest's default-members cover every crate, so this runs
 # the whole workspace's unit, integration and doc tests.

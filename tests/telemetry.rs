@@ -5,12 +5,16 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg::gen::{DatasetSpec, Setting};
+use spg::graph::wire::{shutdown_line, AllocRequest};
 use spg::model::pipeline::MetisCoarsePlacer;
 use spg::model::{
     CoarsenConfig, CoarsenModel, ReinforceTrainer, TelemetrySink, TrainOptions, TrainStats,
 };
 use spg::obs::{Event, Summary};
+use spg::serve::{ServeConfig, Server};
 use spg::StreamGraph;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 fn trainer(sink: TelemetrySink) -> ReinforceTrainer<MetisCoarsePlacer> {
     let spec = DatasetSpec::scaled_down(Setting::Small);
@@ -157,5 +161,46 @@ fn telemetry_counts_only_its_own_run() {
         assert!(misses > 0, "epoch {i} simulated nothing");
         assert_eq!(place, misses, "epoch {i}: rollout.place_us");
         assert_eq!(simulate, misses, "epoch {i}: rollout.simulate_us");
+    }
+}
+
+/// A server run with telemetry on writes its run totals as it drains,
+/// the I/O thread's ingest time among them (DESIGN §8); the lines it
+/// answered, a refused one included, were all timed.
+#[test]
+fn a_served_run_reports_its_ingest_time() {
+    let spec = DatasetSpec::scaled_down(Setting::Small);
+    let ck = trainer(TelemetrySink::disabled()).checkpoint();
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let sink = TelemetrySink::memory();
+    let run = {
+        let (sink, cluster, rate) = (sink.clone(), spec.cluster(), spec.source_rate);
+        std::thread::spawn(move || server.run(ck, cluster, rate, &sink).expect("serve run"))
+    };
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut replies = BufReader::new(conn.try_clone().expect("clone"));
+    let request = AllocRequest {
+        id: "t1".to_string(),
+        graph: spg::gen::generate_graph(&spec, 7),
+        source_rate: None,
+        devices: None,
+        v: None,
+        deadline_ms: None,
+    };
+    for line in [request.to_line(), "{\"id\":\"t2\"}".to_string()] {
+        writeln!(conn, "{line}").expect("write");
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("read");
+        assert!(reply.contains("\"id\""), "{reply}");
+    }
+    writeln!(conn, "{}", shutdown_line()).expect("write");
+    let report = run.join().expect("server thread");
+    assert_eq!((report.responses, report.errors), (1, 1));
+
+    let lines = sink.lines();
+    let summary = Summary::from_lines(lines.iter().map(String::as_str)).expect("valid events");
+    for name in ["serve.ingest_ns", "serve.encode_ns", "serve.rollout_ns"] {
+        assert!(summary.counter(name).unwrap_or(0) > 0, "{name}: {lines:?}");
     }
 }
